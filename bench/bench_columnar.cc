@@ -61,13 +61,6 @@ class Gen10kUdtf : public fdbs::TableFunction {
   const std::vector<Column>& params() const override { return params_; }
   const Schema& result_schema() const override { return schema_; }
 
-  Result<Table> Invoke(const std::vector<Value>&,
-                       fdbs::ExecContext&) override {
-    Table t(schema_);
-    for (int i = 0; i < kRows; ++i) t.AppendRowUnchecked(MakeRow(i));
-    return t;
-  }
-
   Result<RowSourcePtr> InvokeStream(const std::vector<Value>&,
                                     fdbs::ExecContext&,
                                     size_t batch_size) override {
@@ -109,12 +102,13 @@ class PassthruUdtf : public fdbs::TableFunction {
   const std::vector<Column>& params() const override { return params_; }
   const Schema& result_schema() const override { return schema_; }
 
-  Result<Table> Invoke(const std::vector<Value>& args,
-                       fdbs::ExecContext&) override {
+  Result<RowSourcePtr> InvokeStream(const std::vector<Value>& args,
+                                    fdbs::ExecContext&,
+                                    size_t batch_size) override {
     FEDFLOW_ASSIGN_OR_RETURN(int64_t x, args[0].ToInt64());
     Table t(schema_);
     t.AppendRowUnchecked({Value::Int(static_cast<int32_t>(x * 2))});
-    return t;
+    return MakeTableSource(std::move(t), batch_size);
   }
 
  private:

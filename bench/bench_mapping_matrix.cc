@@ -48,19 +48,15 @@ struct Harness {
   appsys::Scenario scenario = appsys::GenerateScenario({});
   appsys::AppSystemRegistry systems;
   sim::LatencyModel model;
-  sim::SystemState state;
   fdbs::Database db;
-  federation::Controller controller{&systems, &model};
   wfms::Engine engine;
-  federation::UdtfCoupling udtf{&db, &systems, &controller, &model, &state};
-  federation::WfmsCoupling wfms{&db,    &engine, &systems,
-                                &controller, &model,  &state};
+  federation::UdtfCoupling udtf{&db, &systems, &model};
+  federation::WfmsCoupling wfms{&db, &engine, &systems, &model};
 
   Harness() {
     (void)systems.Add(std::make_shared<appsys::StockKeepingSystem>(scenario));
     (void)systems.Add(std::make_shared<appsys::PurchasingSystem>(scenario));
     (void)systems.Add(std::make_shared<appsys::PdmSystem>(scenario));
-    controller.Start();
   }
 };
 

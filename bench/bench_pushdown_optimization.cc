@@ -30,9 +30,15 @@ std::unique_ptr<IntegrationServer> MakeServerWithWatchlist() {
 }
 
 VDuration Measure(IntegrationServer* server, bool pushdown) {
+  // The statement runs straight through the FDBS (to set the pushdown
+  // toggle), in a flow on the server's pinned controller and its ledger.
+  sim::FlowState flow;
+  flow.controller = &server->controller();
+  flow.warmth = &server->state();
   SimClock clock;
   fdbs::ExecContext ctx;
   ctx.clock = &clock;
+  ctx.flow = &flow;
   ctx.predicate_pushdown = pushdown;
   auto r = server->database().Execute(kQuery, ctx);
   if (!r.ok()) {

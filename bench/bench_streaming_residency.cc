@@ -25,8 +25,8 @@ constexpr char kQuery[] =
     "TABLE (passthru(a.v)) AS b WHERE b.v2 >= 0";
 
 /// A generator-backed A-UDTF standing in for a remote source whose transport
-/// can stream: Invoke materializes all 10k rows, InvokeStream yields them
-/// batch by batch without ever holding the full result.
+/// can stream: it yields its 10k rows batch by batch without ever holding
+/// the full result.
 class Gen10kUdtf : public fdbs::TableFunction {
  public:
   Gen10kUdtf() { schema_.AddColumn("v", DataType::kInt); }
@@ -34,13 +34,6 @@ class Gen10kUdtf : public fdbs::TableFunction {
   const std::string& name() const override { return name_; }
   const std::vector<Column>& params() const override { return params_; }
   const Schema& result_schema() const override { return schema_; }
-
-  Result<Table> Invoke(const std::vector<Value>&,
-                       fdbs::ExecContext&) override {
-    Table t(schema_);
-    for (int i = 0; i < kRows; ++i) t.AppendRowUnchecked({Value::Int(i)});
-    return t;
-  }
 
   Result<RowSourcePtr> InvokeStream(const std::vector<Value>&,
                                     fdbs::ExecContext&,

@@ -25,14 +25,10 @@ int main() {
   (void)systems.Add(std::make_shared<appsys::PurchasingSystem>(scenario));
   (void)systems.Add(std::make_shared<appsys::PdmSystem>(scenario));
   sim::LatencyModel model;
-  sim::SystemState state;
   fdbs::Database db;
-  federation::Controller controller(&systems, &model);
-  controller.Start();
   wfms::Engine engine;
-  federation::UdtfCoupling udtf(&db, &systems, &controller, &model, &state);
-  federation::WfmsCoupling wfms(&db, &engine, &systems, &controller, &model,
-                                &state);
+  federation::UdtfCoupling udtf(&db, &systems, &model);
+  federation::WfmsCoupling wfms(&db, &engine, &systems, &model);
 
   const std::vector<FederatedFunctionSpec> specs = {
       federation::GibKompNrSpec(),          federation::GetNumberSupp1234Spec(),

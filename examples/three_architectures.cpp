@@ -6,9 +6,6 @@
 #include <cstdio>
 
 #include "federation/sample_scenario.h"
-#include "appsys/pdm.h"
-#include "appsys/purchasing.h"
-#include "appsys/stockkeeping.h"
 #include "federation/sql_source.h"
 #include "federation/udtf_coupling.h"
 
@@ -80,18 +77,10 @@ int main() {
   // PSM: the in-DBMS loop mechanism — works, but CALL-only.
   std::printf("\n=== PSM stored procedure (CALL-only) ===\n");
   if (sql.ok()) {
-    // Access the coupling pieces directly to register the PSM variant.
-    appsys::Scenario scenario = appsys::GenerateScenario({});
-    appsys::AppSystemRegistry systems;
-    (void)systems.Add(std::make_shared<appsys::StockKeepingSystem>(scenario));
-    (void)systems.Add(std::make_shared<appsys::PurchasingSystem>(scenario));
-    (void)systems.Add(std::make_shared<appsys::PdmSystem>(scenario));
-    sim::LatencyModel model;
-    sim::SystemState state;
-    federation::Controller controller(&systems, &model);
-    controller.Start();
-    federation::UdtfCoupling udtf(&(*sql)->database(), &systems, &controller,
-                                  &model, &state);
+    // Access the coupling directly to register the PSM variant in the
+    // server's FDBS; CALL then runs in the server's Query flow.
+    federation::UdtfCoupling udtf(&(*sql)->database(), &(*sql)->systems(),
+                                  &(*sql)->model());
     auto psm_sql = udtf.CompilePsmSql(federation::AllCompNamesSpec());
     if (psm_sql.ok()) {
       std::printf("%s\n\n", psm_sql->c_str());

@@ -7,6 +7,7 @@
 
 #include "federation/classify.h"
 #include "plan/cost.h"
+#include "sim/system_state.h"
 
 namespace fedflow::analysis::dataflow {
 
@@ -19,7 +20,7 @@ BudgetAnalysisResult AnalyzeBudget(
   result.hot_wfms_us = estimate.wfms_elapsed_us;
   result.hot_udtf_us = estimate.udtf_elapsed_us;
   result.cold_surcharge_us =
-      model.cold_infrastructure_us + model.first_run_function_us;
+      sim::WarmupSurchargeUs(model, sim::SystemState::Warmth::kCold);
 
   if (deadline_us > 0) {
     // The deployment picks ONE lowering; the plan is deadline-feasible when

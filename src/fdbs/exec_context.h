@@ -1,4 +1,7 @@
 // Per-statement execution context threaded through the FDBS and into UDTFs.
+// It is the only holder of the statement's clock and trace session; what a
+// coupling needs beyond them (tenant, leased controller and ledger, slot,
+// saga) comes from the flow it points at.
 #ifndef FEDFLOW_FDBS_EXEC_CONTEXT_H_
 #define FEDFLOW_FDBS_EXEC_CONTEXT_H_
 
@@ -15,7 +18,6 @@ struct FlowState;
 }  // namespace fedflow::sim
 
 namespace fedflow::cache {
-class PlanCache;
 class ResultCache;
 }  // namespace fedflow::cache
 
@@ -65,17 +67,12 @@ struct ExecContext {
   /// may be null.
   obs::MetricsRegistry* metrics = nullptr;
 
-  /// Per-invocation flow state under pooled execution (sim/flow_state.h):
-  /// identifies the tenant and carries the leased controller plus its warmth
-  /// ledger. Null (or null members) = single-flow mode; couplings fall back
-  /// to their construction-time controller/state, which keeps legacy callers
-  /// bit-identical.
+  /// The flow the statement runs in (sim/flow_state.h): the tenant, the
+  /// leased controller plus its warmth ledger, the slot and the saga. Every
+  /// coupling requires one and fails the call with a Status when it is null;
+  /// statements that reach no coupling (plain SQL, fdbs-level functions) run
+  /// without.
   sim::FlowState* flow = nullptr;
-
-  /// Compiled-plan cache of the owning server (may be null). Read-only on
-  /// the invocation path: couplings and the procedural interpreter fetch the
-  /// registration-time plan instead of recompiling.
-  cache::PlanCache* plan_cache = nullptr;
 
   /// Result cache of the owning server (may be null). Only consulted when
   /// use_result_cache is also set — caching is opt-in per statement, like

@@ -17,8 +17,8 @@ Result<Table> SqlClient::Query(const std::string& sql) {
   return db_->Execute(sql, inner);
 }
 
-Result<Table> ProceduralTableFunction::Invoke(const std::vector<Value>& args,
-                                              ExecContext& ctx) {
+Result<RowSourcePtr> ProceduralTableFunction::InvokeStream(
+    const std::vector<Value>& args, ExecContext& ctx, size_t batch_size) {
   if (ctx.db == nullptr) {
     return Status::Internal("procedural function invoked without a database");
   }
@@ -27,14 +27,13 @@ Result<Table> ProceduralTableFunction::Invoke(const std::vector<Value>& args,
                                    std::to_string(params_.size()) +
                                    " argument(s)");
   }
-  FEDFLOW_ASSIGN_OR_RETURN(std::vector<Value> coerced, CoerceArgs(args));
   SqlClient client(ctx.db, &ctx, overhead_us_);
-  FEDFLOW_ASSIGN_OR_RETURN(Table raw, body_(coerced, &client));
+  FEDFLOW_ASSIGN_OR_RETURN(Table raw, body_(args, &client));
   Table out(schema_);
   for (Row& r : raw.mutable_rows()) {
     FEDFLOW_RETURN_NOT_OK(out.AppendRow(std::move(r)));
   }
-  return out;
+  return MakeTableSource(std::move(out), batch_size);
 }
 
 }  // namespace fedflow::fdbs

@@ -60,9 +60,10 @@ class ProceduralTableFunction : public TableFunction {
   const Schema& result_schema() const override { return schema_; }
 
   /// Runs the body with a fresh SqlClient; the produced table is coerced to
-  /// the declared result schema.
-  Result<Table> Invoke(const std::vector<Value>& args,
-                       ExecContext& ctx) override;
+  /// the declared result schema and streamed out of the materialized table.
+  Result<RowSourcePtr> InvokeStream(const std::vector<Value>& args,
+                                    ExecContext& ctx,
+                                    size_t batch_size) override;
 
  private:
   std::string name_;

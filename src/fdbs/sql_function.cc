@@ -4,8 +4,8 @@
 
 namespace fedflow::fdbs {
 
-Result<Table> SqlTableFunction::Invoke(const std::vector<Value>& args,
-                                       ExecContext& ctx) {
+Result<RowSourcePtr> SqlTableFunction::InvokeStream(
+    const std::vector<Value>& args, ExecContext& ctx, size_t batch_size) {
   if (ctx.db == nullptr) {
     return Status::Internal("SQL function invoked without a database");
   }
@@ -41,7 +41,7 @@ Result<Table> SqlTableFunction::Invoke(const std::vector<Value>& args,
   for (Row& r : body_result.mutable_rows()) {
     FEDFLOW_RETURN_NOT_OK(out.AppendRow(std::move(r)));
   }
-  return out;
+  return MakeTableSource(std::move(out), batch_size);
 }
 
 }  // namespace fedflow::fdbs

@@ -24,10 +24,12 @@ class SqlTableFunction : public TableFunction {
   const std::vector<Column>& params() const override { return def_->params; }
   const Schema& result_schema() const override { return def_->returns; }
 
-  /// Binds arguments to parameters and runs the body. The body result is
-  /// coerced column-by-column to the declared RETURNS TABLE schema.
-  Result<Table> Invoke(const std::vector<Value>& args,
-                       ExecContext& ctx) override;
+  /// Binds arguments to parameters and runs the body to completion. The body
+  /// result is coerced column-by-column to the declared RETURNS TABLE schema
+  /// and then streamed out of the materialized table.
+  Result<RowSourcePtr> InvokeStream(const std::vector<Value>& args,
+                                    ExecContext& ctx,
+                                    size_t batch_size) override;
 
   /// The parsed function body (for inspection and tests).
   const sql::SelectStmt& body() const { return *def_->body; }

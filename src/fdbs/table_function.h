@@ -1,6 +1,10 @@
 // The user-defined table function (UDTF) interface: the FDBS's only window
 // onto non-SQL sources, exactly as in the paper (read access, result returned
-// as a table, referencable in the FROM clause).
+// as a table, referencable in the FROM clause). A table function has one
+// invocation method, InvokeStream: the executor's lateral chain is its only
+// caller, and a function whose transport cannot stream (an SQL body, a
+// procedural body) materializes its result and hands it out through
+// MakeTableSource.
 #ifndef FEDFLOW_FDBS_TABLE_FUNCTION_H_
 #define FEDFLOW_FDBS_TABLE_FUNCTION_H_
 
@@ -30,24 +34,14 @@ class TableFunction {
   /// Schema of the returned table.
   virtual const Schema& result_schema() const = 0;
 
-  /// Invokes the function. `args` are already evaluated and coerced to the
-  /// declared parameter types. Implementations must return a table whose
-  /// schema equals result_schema().
-  virtual Result<Table> Invoke(const std::vector<Value>& args,
-                               ExecContext& ctx) = 0;
-
-  /// Streaming invocation: returns a source the caller pulls in batches of
-  /// `batch_size` rows, so results flow into the consuming pipeline without
-  /// a full materialization at the call boundary. The base implementation
-  /// adapts Invoke(); functions whose transport can genuinely stream
-  /// (chunked RMI of the A-UDTFs, the SQL/MED wrapper) override it.
+  /// Invokes the function and returns a source the caller pulls in batches
+  /// of `batch_size` rows, so results flow into the consuming pipeline
+  /// without a full materialization at the call boundary. `args` are already
+  /// evaluated and coerced to the declared parameter types; the source's
+  /// schema must have result_schema()'s arity.
   virtual Result<RowSourcePtr> InvokeStream(const std::vector<Value>& args,
                                             ExecContext& ctx,
-                                            size_t batch_size);
-
-  /// Coerces already-evaluated argument values to the declared parameter
-  /// types (Value::CastTo; NULLs pass through). Arity must already match.
-  Result<std::vector<Value>> CoerceArgs(std::vector<Value> args) const;
+                                            size_t batch_size) = 0;
 };
 
 }  // namespace fedflow::fdbs

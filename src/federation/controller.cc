@@ -1,6 +1,22 @@
 #include "federation/controller.h"
 
+#include "fdbs/exec_context.h"
+#include "sim/flow_state.h"
+
 namespace fedflow::federation {
+
+Result<sim::FlowState*> RequireFlow(const fdbs::ExecContext& ctx,
+                                    const std::string& function) {
+  sim::FlowState* flow = ctx.flow;
+  if (flow == nullptr || flow->controller == nullptr ||
+      flow->warmth == nullptr) {
+    return Status::ExecutionError(
+        function +
+        ": no flow — a coupling runs only inside a sim::FlowState that "
+        "carries a leased controller and its warmth ledger");
+  }
+  return flow;
+}
 
 Result<Controller::DispatchResult> Controller::Dispatch(
     const std::string& system, const std::string& function,

@@ -16,6 +16,14 @@
 #include "common/table.h"
 #include "sim/latency.h"
 
+namespace fedflow::fdbs {
+struct ExecContext;
+}  // namespace fedflow::fdbs
+
+namespace fedflow::sim {
+struct FlowState;
+}  // namespace fedflow::sim
+
 namespace fedflow::federation {
 
 /// Long-lived dispatcher between UDTF processes and application systems.
@@ -52,6 +60,13 @@ class Controller {
   bool started_ = false;
   mutable std::atomic<int64_t> dispatch_count_{0};
 };
+
+/// The flow a coupling invocation of `function` runs in: the statement's
+/// ctx.flow, which must carry a leased controller (local calls dispatch
+/// through it) and that controller's warmth ledger (warm-up surcharges and
+/// MarkRun land there). ExecutionError naming the missing flow otherwise.
+Result<sim::FlowState*> RequireFlow(const fdbs::ExecContext& ctx,
+                                    const std::string& function);
 
 }  // namespace fedflow::federation
 

@@ -88,7 +88,7 @@ class ControllerPool {
                          const std::string& function);
 
   /// The pinned slot's controller/ledger: the stable single-flow identity
-  /// that couplings are wired with at construction.
+  /// that the server's untimed Query runs on.
   Controller* primary() { return primary_; }
   sim::SystemState* primary_state() { return primary_state_; }
 

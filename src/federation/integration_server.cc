@@ -14,6 +14,21 @@
 
 namespace fedflow::federation {
 
+namespace {
+
+/// The flow of `tenant` on a leased controller, its ledger and its slot.
+sim::FlowState LeaseFlow(const ControllerPool::Lease& lease,
+                         const std::string& tenant) {
+  sim::FlowState flow;
+  flow.tenant = tenant;
+  flow.controller = lease.controller();
+  flow.warmth = lease.ledger();
+  flow.slot = lease.slot();
+  return flow;
+}
+
+}  // namespace
+
 const char* ArchitectureName(Architecture arch) {
   switch (arch) {
     case Architecture::kWfms:
@@ -38,8 +53,8 @@ Result<std::unique_ptr<IntegrationServer>> IntegrationServer::Create(
   FEDFLOW_RETURN_NOT_OK(
       server->systems_.Add(std::make_shared<appsys::PdmSystem>(scenario)));
 
-  // The couplings are wired with the pinned (primary) controller and its
-  // ledger; pooled flows override both per invocation via ExecContext::flow.
+  // The couplings hold no controller or ledger of their own: every call
+  // brings both in its flow (ExecContext::flow).
   server->controller_pool_.AttachMetrics(&server->metrics_);
   server->plan_cache_.AttachMetrics(&server->metrics_);
   server->result_cache_.AttachMetrics(&server->metrics_);
@@ -51,8 +66,6 @@ Result<std::unique_ptr<IntegrationServer>> IntegrationServer::Create(
   cache::ResultCacheOptions rc_options = server->result_cache_.options();
   rc_options.min_saved_cost_us = server->model_.cache_probe_us;
   server->result_cache_.set_options(rc_options);
-  Controller* primary = server->controller_pool_.primary();
-  sim::SystemState* primary_state = server->controller_pool_.primary_state();
   if (arch == Architecture::kWfms) {
     wfms::EngineOptions options;
     options.navigation_cost_us = server->model_.wf_navigation_us;
@@ -62,24 +75,22 @@ Result<std::unique_ptr<IntegrationServer>> IntegrationServer::Create(
     server->engine_ = std::make_unique<wfms::Engine>(options);
     server->wfms_ = std::make_unique<WfmsCoupling>(
         &server->db_, server->engine_.get(), &server->systems_,
-        primary, &server->model_, primary_state,
-        &server->fault_injector_, &server->retry_policy_);
+        &server->model_, &server->fault_injector_, &server->retry_policy_);
   } else {
     // Both UDTF variants sit on the same A-UDTF access layer.
     server->udtf_ = std::make_unique<UdtfCoupling>(
-        &server->db_, &server->systems_, primary,
-        &server->model_, primary_state, &server->fault_injector_,
-        &server->retry_policy_);
+        &server->db_, &server->systems_, &server->model_,
+        &server->fault_injector_, &server->retry_policy_);
     FEDFLOW_RETURN_NOT_OK(server->udtf_->RegisterAccessUdtfs());
     if (arch == Architecture::kJavaUdtf) {
       server->java_ = std::make_unique<JavaUdtfCoupling>(
-          &server->db_, &server->systems_, &server->model_, primary_state,
+          &server->db_, &server->systems_, &server->model_,
           &server->retry_policy_);
     }
   }
 
   server->controller_pool_.Start();
-  primary_state->Boot();
+  server->controller_pool_.primary_state()->Boot();
   return server;
 }
 
@@ -147,17 +158,9 @@ Status IntegrationServer::RegisterFederatedFunction(
     lint_warnings_.push_back(std::move(d));
   }
   if (fed_plan == nullptr) {
-    // Unreachable in practice (a plan that failed to compile was rejected by
-    // FF304 above); kept as a legacy fallback that compiles once itself.
-    switch (arch_) {
-      case Architecture::kWfms:
-        return wfms_->RegisterFederatedFunction(spec, options);
-      case Architecture::kUdtf:
-        return udtf_->RegisterFederatedFunction(spec, options);
-      case Architecture::kJavaUdtf:
-        return java_->RegisterFederatedFunction(spec, options);
-    }
-    return Status::Internal("bad architecture");
+    // A plan that failed to compile is rejected by FF304 above.
+    return Status::Internal("no compiled plan for '" + spec.name +
+                            "' although the lint gate passed");
   }
   Status registered = [&] {
     switch (arch_) {
@@ -180,59 +183,46 @@ Status IntegrationServer::RegisterFederatedFunction(
 }
 
 Result<Table> IntegrationServer::Query(const std::string& sql) {
+  // Untimed (no clock, no trace): one flow on the pinned controller and its
+  // ledger, without a lease.
+  sim::FlowState flow;
+  flow.controller = controller_pool_.primary();
+  flow.warmth = controller_pool_.primary_state();
   fdbs::ExecContext ctx;
   ctx.db = &db_;
   ctx.columnar = columnar_execution_;
+  ctx.flow = &flow;
   return db_.Execute(sql, ctx);
 }
 
 Result<IntegrationServer::TimedResult> IntegrationServer::QueryTimed(
     const std::string& sql) {
-  return QueryTimedFor("default", "", sql);
-}
-
-Result<IntegrationServer::TimedResult> IntegrationServer::QueryTimedFor(
-    const std::string& tenant, const std::string& function,
-    const std::string& sql) {
-  // Admission: lease a controller for the whole flow. With pool size 1 this
-  // always returns the pinned controller — the legacy single-flow path.
+  // Admission: lease a controller (no warmth affinity) for the whole flow.
+  // With pool size 1 this always returns the pinned controller. Free-form
+  // SQL names no function, so the result reports the default kHot.
   FEDFLOW_ASSIGN_OR_RETURN(ControllerPool::Lease lease,
-                           controller_pool_.Checkout(tenant, function));
-  FEDFLOW_ASSIGN_OR_RETURN(
-      TimedResult result,
-      RunFlow(lease.controller(), lease.ledger(), lease.slot(), tenant, sql));
-  // The checkout's warmth verdict is what the statement's federated function
-  // experienced on the leased controller. Plain SQL (no affinity) reports
-  // the default kHot, matching the pre-pool QueryTimed.
-  if (!function.empty()) result.warmth = lease.warmth();
-  return result;
+                           controller_pool_.Checkout("default", ""));
+  sim::FlowState flow = LeaseFlow(lease, "default");
+  return RunFlow(flow, sql);
 }
 
 Result<IntegrationServer::TimedResult> IntegrationServer::RunFlow(
-    Controller* controller, sim::SystemState* ledger, uint64_t slot,
-    const std::string& tenant, const std::string& sql, txn::SagaExec* saga,
+    sim::FlowState& flow, const std::string& sql,
     VDuration* failed_elapsed_us) {
-  sim::FlowState flow;
-  flow.flow_id = next_flow_id_.fetch_add(1);
-  flow.tenant = tenant;
-  flow.faults = &fault_injector_;
-  flow.controller = controller;
-  flow.warmth = ledger;
-  flow.slot = slot;
-  flow.saga = saga;
-  obs::TraceSession session(&tracer_, &flow.clock);
-  flow.trace = &session;
+  // One statement, one timeline: the clock and the trace session live for
+  // the flow's statement and are reached through the ExecContext.
+  SimClock clock;
+  obs::TraceSession session(&tracer_, &clock);
   // Per-flow pipeline statistics (residency, batch counts, vectorized-filter
   // selectivities), exported as gauges after the flow. Stack-local so
   // concurrent flows never share a counter.
   PipelineStats pipeline_stats;
   fdbs::ExecContext ctx;
-  ctx.clock = &flow.clock;
+  ctx.clock = &clock;
   ctx.db = &db_;
   ctx.trace = &session;
   ctx.metrics = &metrics_;
   ctx.flow = &flow;
-  ctx.plan_cache = &plan_cache_;
   ctx.result_cache = &result_cache_;
   ctx.use_result_cache = caching_enabled_;
   ctx.columnar = columnar_execution_;
@@ -241,25 +231,25 @@ Result<IntegrationServer::TimedResult> IntegrationServer::RunFlow(
     // While the session observes the clock, every Charge/ChargeWork lands in
     // the current span — the completeness invariant that makes the span tree
     // reproduce the breakdown exactly.
-    if (tracer_.enabled()) flow.clock.set_observer(&session);
+    if (tracer_.enabled()) clock.set_observer(&session);
     obs::SpanScope root(&session, "query", obs::Layer::kFdbs);
     root.SetAttribute("sql", sql);
     Result<Table> t = db_.Execute(sql, ctx);
     if (!t.ok()) root.SetStatus(t.status());
     return t;
   }();
-  flow.clock.set_observer(nullptr);
+  clock.set_observer(nullptr);
   obs::ExportPipelineStats(pipeline_stats, &metrics_);
   if (!table.ok()) {
     // The flow (and its clock) dies with the failure; surface the elapsed
     // virtual time so the saga abort can account the wasted forward work.
-    if (failed_elapsed_us != nullptr) *failed_elapsed_us = flow.clock.now();
+    if (failed_elapsed_us != nullptr) *failed_elapsed_us = clock.now();
     return table.status();
   }
   TimedResult result;
   result.table = std::move(table).ValueUnsafe();
-  result.elapsed_us = flow.clock.now();
-  result.breakdown = flow.clock.breakdown();
+  result.elapsed_us = clock.now();
+  result.breakdown = clock.breakdown();
   return result;
 }
 
@@ -372,8 +362,7 @@ Result<IntegrationServer::TimedResult> IntegrationServer::CallFederated(
 }
 
 Result<IntegrationServer::TimedResult> IntegrationServer::RunSagaCall(
-    const txn::SagaSpecInfo& info, Controller* controller,
-    sim::SystemState* ledger, uint64_t slot, const std::string& tenant,
+    const txn::SagaSpecInfo& info, sim::FlowState& flow,
     const std::string& name, const std::vector<Value>& args) {
   // Begin OUTSIDE every coupling retry loop: the idempotency keys must stay
   // stable across a WfMS checkpoint resume and across an I-UDTF whole
@@ -381,10 +370,10 @@ Result<IntegrationServer::TimedResult> IntegrationServer::RunSagaCall(
   // write. A write-path call is never served from (or inserted into) the
   // whole-call result cache — its effect is the point of the call.
   std::unique_ptr<txn::SagaExec> exec = saga_runtime_.Begin(info, args);
+  flow.saga = exec.get();
   VDuration failed_elapsed_us = 0;
   Result<TimedResult> result =
-      RunFlow(controller, ledger, slot, tenant, BuildCallSql(name, args),
-              exec.get(), &failed_elapsed_us);
+      RunFlow(flow, BuildCallSql(name, args), &failed_elapsed_us);
   if (!result.ok()) {
     // Backward recovery: compensate the applied steps in reverse order. The
     // outcome (including the modeled abort cost) is queryable through
@@ -397,7 +386,7 @@ Result<IntegrationServer::TimedResult> IntegrationServer::RunSagaCall(
     return result.status();
   }
   saga_runtime_.Commit(*exec);
-  RecordCallMetrics(tenant, name, *result);
+  RecordCallMetrics(flow.tenant, name, *result);
   return result;
 }
 
@@ -408,28 +397,7 @@ Result<IntegrationServer::TimedResult> IntegrationServer::CallFederatedFor(
   // always returns the pinned controller — the legacy single-flow path.
   FEDFLOW_ASSIGN_OR_RETURN(ControllerPool::Lease lease,
                            controller_pool_.Checkout(tenant, name));
-  const sim::SystemState::Warmth warmth = lease.warmth();
-  if (const txn::SagaSpecInfo* info = saga_runtime_.Find(name)) {
-    FEDFLOW_ASSIGN_OR_RETURN(
-        TimedResult saga_result,
-        RunSagaCall(*info, lease.controller(), lease.ledger(), lease.slot(),
-                    tenant, name, args));
-    saga_result.warmth = warmth;
-    return saga_result;
-  }
-  TimedResult result;
-  if (TryServeCached(warmth, name, args, &result)) {
-    lease.ledger()->MarkRun(name);
-    RecordCallMetrics(tenant, name, result);
-    return result;
-  }
-  FEDFLOW_ASSIGN_OR_RETURN(
-      result, RunFlow(lease.controller(), lease.ledger(), lease.slot(), tenant,
-                      BuildCallSql(name, args)));
-  result.warmth = warmth;
-  FinishCachedCall(warmth, lease.slot(), tenant, name, args, &result);
-  RecordCallMetrics(tenant, name, result);
-  return result;
+  return CallFederatedOnLease(lease, tenant, name, args);
 }
 
 Result<IntegrationServer::TimedResult> IntegrationServer::CallFederatedOnLease(
@@ -440,13 +408,15 @@ Result<IntegrationServer::TimedResult> IntegrationServer::CallFederatedOnLease(
         "CallFederatedOnLease: lease was already released");
   }
   // Pre-call verdict: what this function experiences on the leased
-  // controller. Must be read before execution marks the function run.
+  // controller. Must be read before execution marks the function run. On a
+  // lease just checked out it equals the checkout's own verdict: the slot is
+  // busy, so nothing ran on it in between (a newly created slot reads cold
+  // either way).
   const sim::SystemState::Warmth warmth = lease.ledger()->QueryWarmth(name);
+  sim::FlowState flow = LeaseFlow(lease, tenant);
   if (const txn::SagaSpecInfo* info = saga_runtime_.Find(name)) {
-    FEDFLOW_ASSIGN_OR_RETURN(
-        TimedResult saga_result,
-        RunSagaCall(*info, lease.controller(), lease.ledger(), lease.slot(),
-                    tenant, name, args));
+    FEDFLOW_ASSIGN_OR_RETURN(TimedResult saga_result,
+                             RunSagaCall(*info, flow, name, args));
     saga_result.warmth = warmth;
     return saga_result;
   }
@@ -456,9 +426,7 @@ Result<IntegrationServer::TimedResult> IntegrationServer::CallFederatedOnLease(
     RecordCallMetrics(tenant, name, result);
     return result;
   }
-  FEDFLOW_ASSIGN_OR_RETURN(
-      result, RunFlow(lease.controller(), lease.ledger(), lease.slot(), tenant,
-                      BuildCallSql(name, args)));
+  FEDFLOW_ASSIGN_OR_RETURN(result, RunFlow(flow, BuildCallSql(name, args)));
   result.warmth = warmth;
   FinishCachedCall(warmth, lease.slot(), tenant, name, args, &result);
   RecordCallMetrics(tenant, name, result);
@@ -467,7 +435,7 @@ Result<IntegrationServer::TimedResult> IntegrationServer::CallFederatedOnLease(
 
 void IntegrationServer::Reboot() {
   // No leases are outstanding when a caller reboots the environment (flows
-  // release their controller before QueryTimedFor returns), so the pool
+  // release their controller before their call returns), so the pool
   // reboot cannot fail.
   (void)controller_pool_.Reboot();
 }

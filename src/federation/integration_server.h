@@ -6,7 +6,6 @@
 #ifndef FEDFLOW_FEDERATION_INTEGRATION_SERVER_H_
 #define FEDFLOW_FEDERATION_INTEGRATION_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -27,6 +26,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/fault.h"
+#include "sim/flow_state.h"
 #include "sim/latency.h"
 #include "sim/resource_pools.h"
 #include "sim/system_state.h"
@@ -73,7 +73,9 @@ class IntegrationServer {
     return lint_warnings_;
   }
 
-  /// Executes SQL without cost accounting (functional path).
+  /// Executes SQL without cost accounting (functional path): one untimed,
+  /// untraced flow on the pinned controller and its ledger, taken without a
+  /// lease.
   Result<Table> Query(const std::string& sql);
 
   /// A timed call: result plus virtual elapsed time and step breakdown.
@@ -84,34 +86,29 @@ class IntegrationServer {
     sim::SystemState::Warmth warmth = sim::SystemState::Warmth::kHot;
   };
 
-  /// Executes SQL under the virtual clock.
+  /// Executes SQL under the virtual clock, as one flow of the default tenant
+  /// on a controller leased from the pool without warmth affinity.
+  /// kUnavailable when admission fails (pool exhausted).
   Result<TimedResult> QueryTimed(const std::string& sql);
-
-  /// Multi-tenant entry point: runs `sql` as one flow for `tenant`, leasing
-  /// a controller from the pool with `function` as warmth affinity (empty =
-  /// no affinity). kUnavailable when admission fails (pool or tenant quota
-  /// exhausted). QueryTimed delegates here with ("default", "").
-  Result<TimedResult> QueryTimedFor(const std::string& tenant,
-                                    const std::string& function,
-                                    const std::string& sql);
 
   /// Convenience: SELECT * FROM TABLE(name(args...)) AS R, timed.
   Result<TimedResult> CallFederated(const std::string& name,
                                     const std::vector<Value>& args);
 
   /// CallFederated for one tenant's flow; tenants other than "default" also
-  /// get tenant-scoped call metrics ("tenant.<t>.call.*").
+  /// get tenant-scoped call metrics ("tenant.<t>.call.*"). Checks a
+  /// controller out of the pool with `name` as warmth affinity and runs
+  /// CallFederatedOnLease on it.
   Result<TimedResult> CallFederatedFor(const std::string& tenant,
                                        const std::string& name,
                                        const std::vector<Value>& args);
 
-  /// CallFederatedFor on a controller the caller already leased from
-  /// controller_pool(). The load harness holds one lease per in-flight
-  /// virtual flow for the flow's whole virtual duration, so concurrent flows
-  /// occupy distinct controllers; this entry point runs the statement on
-  /// that lease instead of checking out per call. Warmth is the leased
-  /// ledger's pre-call verdict for `name`. InvalidArgument on a released
-  /// lease.
+  /// The call itself, on a controller leased from controller_pool(). The
+  /// load harness holds one lease per in-flight virtual flow for the flow's
+  /// whole virtual duration, so concurrent flows occupy distinct
+  /// controllers; this entry point runs the statement on that lease instead
+  /// of checking out per call. Warmth is the leased ledger's pre-call
+  /// verdict for `name`. InvalidArgument on a released lease.
   Result<TimedResult> CallFederatedOnLease(const ControllerPool::Lease& lease,
                                            const std::string& tenant,
                                            const std::string& name,
@@ -124,9 +121,10 @@ class IntegrationServer {
   Architecture architecture() const { return arch_; }
   fdbs::Database& database() { return db_; }
   const appsys::AppSystemRegistry& systems() const { return systems_; }
-  /// The pinned (primary) controller — the single-flow identity.
+  /// The pinned (primary) controller — the single-flow identity, and the
+  /// controller Query runs on.
   Controller& controller() { return *controller_pool_.primary(); }
-  /// The pinned controller's warmth ledger — the single-flow identity.
+  /// The pinned controller's warmth ledger.
   sim::SystemState& state() { return *controller_pool_.primary_state(); }
   /// The warm-controller pool behind all flows.
   ControllerPool& controller_pool() { return controller_pool_; }
@@ -208,31 +206,22 @@ class IntegrationServer {
   }
 
  private:
-  /// One flow on an already-selected controller/ledger pair: builds the
-  /// per-invocation FlowState, traces and times the statement. Shared by the
-  /// per-call checkout path (QueryTimedFor) and the external-lease path
-  /// (CallFederatedOnLease). `slot` is the lease's warm-pool slot (0 when
-  /// unpooled); result-cache entries produced by the flow record it. The
-  /// result's warmth is left at its default. `saga` (optional) rides the
-  /// flow state so the couplings route mutating calls through it; on failure
-  /// `failed_elapsed_us` (optional) receives the virtual time the failed
-  /// flow burned — the clock is lost with the flow otherwise, and the saga
-  /// abort path accounts it into the outcome.
-  Result<TimedResult> RunFlow(Controller* controller,
-                              sim::SystemState* ledger, uint64_t slot,
-                              const std::string& tenant,
-                              const std::string& sql,
-                              txn::SagaExec* saga = nullptr,
+  /// Runs `sql` as one timed and traced statement of `flow` (a lease's
+  /// flow): the clock and trace session are the statement's own. The
+  /// result's warmth is left at its default. On failure `failed_elapsed_us`
+  /// (optional) receives the virtual time the failed flow burned — the clock
+  /// is lost with the flow otherwise, and the saga abort path accounts it
+  /// into the outcome.
+  Result<TimedResult> RunFlow(sim::FlowState& flow, const std::string& sql,
                               VDuration* failed_elapsed_us = nullptr);
 
-  /// CallFederatedFor/OnLease body for a saga-registered (write-path)
-  /// function: Begin outside every coupling retry loop (idempotency keys
-  /// must survive WfMS resume and I-UDTF restart alike), never whole-call
-  /// cached, Commit on success, Abort + backward recovery on failure.
+  /// CallFederatedOnLease body for a saga-registered (write-path) function:
+  /// Begin outside every coupling retry loop (idempotency keys must survive
+  /// WfMS resume and I-UDTF restart alike), the saga rides `flow` so the
+  /// couplings route mutating calls through it, never whole-call cached,
+  /// Commit on success, Abort + backward recovery on failure.
   Result<TimedResult> RunSagaCall(const txn::SagaSpecInfo& info,
-                                  Controller* controller,
-                                  sim::SystemState* ledger, uint64_t slot,
-                                  const std::string& tenant,
+                                  sim::FlowState& flow,
                                   const std::string& name,
                                   const std::vector<Value>& args);
 
@@ -281,7 +270,6 @@ class IntegrationServer {
   bool caching_enabled_ = false;
   bool columnar_execution_ = true;
   ControllerPool controller_pool_;
-  std::atomic<int64_t> next_flow_id_{1};
   sim::FaultInjector fault_injector_;
   sim::RetryPolicy retry_policy_;
   VDuration analysis_deadline_us_ = 0;

@@ -4,9 +4,8 @@
 
 #include "common/strings.h"
 #include "fdbs/procedural_function.h"
-#include "obs/trace.h"
+#include "federation/udtf_coupling.h"
 #include "plan/lower_sql.h"
-#include "sim/flow_state.h"
 
 namespace fedflow::federation {
 
@@ -106,83 +105,12 @@ Status JavaUdtfCoupling::RegisterFederatedFunction(
   auto fn = std::make_shared<fdbs::ProceduralTableFunction>(
       spec.name, spec.params, returns, std::move(body),
       model_->jdbc_statement_us);
-
-  // Decorate with start/finish + warm-up costs and the statement-level
-  // retry, mirroring the SQL I-UDTF.
-  class Decorated : public fdbs::TableFunction {
-   public:
-    Decorated(std::shared_ptr<fdbs::TableFunction> inner,
-              const sim::LatencyModel* model, sim::SystemState* state,
-              const sim::RetryPolicy* retry)
-        : inner_(std::move(inner)), model_(model), state_(state),
-          retry_(retry) {}
-    const std::string& name() const override { return inner_->name(); }
-    const std::vector<Column>& params() const override {
-      return inner_->params();
-    }
-    const Schema& result_schema() const override {
-      return inner_->result_schema();
-    }
-    Result<Table> Invoke(const std::vector<Value>& args,
-                         fdbs::ExecContext& ctx) override {
-      SimClock* clock = ctx.clock;
-      // Per-flow warmth ledger with single-flow fallback (ExecContext::flow).
-      sim::SystemState* state =
-          ctx.flow != nullptr && ctx.flow->warmth != nullptr ? ctx.flow->warmth
-                                                             : state_;
-      obs::SpanScope span(ctx.trace, "java-iudtf:" + name(),
-                          obs::Layer::kCoupling);
-      if (clock != nullptr && state != nullptr) {
-        switch (state->QueryWarmth(name())) {
-          case sim::SystemState::Warmth::kCold:
-            clock->Charge(sim::steps::kWarmup,
-                          model_->cold_infrastructure_us +
-                              model_->first_run_function_us);
-            break;
-          case sim::SystemState::Warmth::kWarm:
-            clock->Charge(sim::steps::kWarmup,
-                          model_->first_run_function_us);
-            break;
-          case sim::SystemState::Warmth::kHot:
-            break;
-        }
-      }
-      // Statement-level retry: the procedural body holds no state between
-      // attempts, so a retriable failure re-interprets the WHOLE plan —
-      // every statement it issues runs (and charges) again. Saga write
-      // steps survive the restart through the dedup ledger.
-      sim::RetryLoop retry(retry_, clock, ctx.metrics, name());
-      while (true) {
-        if (clock != nullptr) {
-          clock->Charge(sim::steps::kJavaStartI, model_->java_iudtf_start_us);
-        }
-        Result<Table> out = inner_->Invoke(args, ctx);
-        if (out.ok()) {
-          if (clock != nullptr) {
-            clock->Charge(sim::steps::kJavaFinishI,
-                          model_->java_iudtf_finish_us);
-          }
-          if (state != nullptr) state->MarkRun(name());
-          return out;
-        }
-        if (!retry.ShouldRetry(out.status())) {
-          span.SetStatus(out.status());
-          return out.status();
-        }
-        span.AddEvent("retrying statement", out.status().message());
-        FEDFLOW_RETURN_NOT_OK(retry.Backoff());
-      }
-    }
-
-   private:
-    std::shared_ptr<fdbs::TableFunction> inner_;
-    const sim::LatencyModel* model_;
-    sim::SystemState* state_;
-    const sim::RetryPolicy* retry_;
-  };
-
+  // The SQL I-UDTF's decorator with the Java start/finish steps: the same
+  // warm-up surcharge and statement-level retry (a retriable failure
+  // re-interprets the WHOLE plan).
   return db_->catalog().RegisterTableFunction(
-      std::make_shared<Decorated>(std::move(fn), model_, state_, retry_));
+      std::make_shared<InstrumentedIUdtf>(std::move(fn), model_, retry_,
+                                          kJavaIUdtfSteps));
 }
 
 }  // namespace fedflow::federation

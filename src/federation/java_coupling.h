@@ -16,7 +16,6 @@
 #include "plan/optimizer.h"
 #include "sim/fault.h"
 #include "sim/latency.h"
-#include "sim/system_state.h"
 
 namespace fedflow::federation {
 
@@ -34,10 +33,9 @@ class JavaUdtfCoupling {
   /// attempts, so a retriable failure restarts the whole interpretation.
   JavaUdtfCoupling(fdbs::Database* db,
                    const appsys::AppSystemRegistry* systems,
-                   const sim::LatencyModel* model, sim::SystemState* state,
+                   const sim::LatencyModel* model,
                    const sim::RetryPolicy* retry = nullptr)
-      : db_(db), systems_(systems), model_(model), state_(state),
-        retry_(retry) {}
+      : db_(db), systems_(systems), model_(model), retry_(retry) {}
 
   /// Compiles the spec into the federated plan (plan/fed_plan.h) and
   /// registers a procedural I-UDTF interpreting it. The body interprets the
@@ -59,7 +57,6 @@ class JavaUdtfCoupling {
   fdbs::Database* db_;
   const appsys::AppSystemRegistry* systems_;
   const sim::LatencyModel* model_;
-  sim::SystemState* state_;
   const sim::RetryPolicy* retry_;
 };
 

@@ -1,7 +1,5 @@
 #include "federation/med_wrapper.h"
 
-#include "common/strings.h"
-
 namespace fedflow::federation {
 
 namespace {
@@ -21,17 +19,6 @@ class WrapperUdtf : public fdbs::TableFunction {
     return descriptor_.result_schema;
   }
 
-  Result<Table> Invoke(const std::vector<Value>& args,
-                       fdbs::ExecContext& ctx) override {
-    sim::RetryLoop retry(wrapper_->retry_policy(), ctx.clock, ctx.metrics,
-                         descriptor_.name);
-    while (true) {
-      Result<Table> out = wrapper_->Execute(descriptor_.name, args, ctx);
-      if (out.ok() || !retry.ShouldRetry(out.status())) return out;
-      FEDFLOW_RETURN_NOT_OK(retry.Backoff());
-    }
-  }
-
   Result<RowSourcePtr> InvokeStream(const std::vector<Value>& args,
                                     fdbs::ExecContext& ctx,
                                     size_t batch_size) override {
@@ -40,38 +27,42 @@ class WrapperUdtf : public fdbs::TableFunction {
     while (true) {
       Result<RowSourcePtr> out =
           wrapper_->ExecuteStream(descriptor_.name, args, ctx, batch_size);
-      if (out.ok() || !retry.ShouldRetry(out.status())) return out;
+      if (out.ok()) return CoerceToDeclared(std::move(*out));
+      if (!retry.ShouldRetry(out.status())) return out.status();
       FEDFLOW_RETURN_NOT_OK(retry.Backoff());
     }
   }
 
  private:
+  /// Coerces each pulled batch to the declared result schema.
+  RowSourcePtr CoerceToDeclared(RowSourcePtr source) const {
+    std::shared_ptr<RowSource> inner(std::move(source));
+    Schema target = descriptor_.result_schema;
+    return MakeGeneratorSource(
+        descriptor_.result_schema, [inner, target]() -> Result<RowBatch> {
+          FEDFLOW_ASSIGN_OR_RETURN(RowBatch raw, inner->Next());
+          if (raw.empty()) return raw;
+          Table coerced(target);
+          for (Row& r : raw.rows) {
+            FEDFLOW_RETURN_NOT_OK(coerced.AppendRow(std::move(r)));
+          }
+          RowBatch batch;
+          batch.rows = std::move(coerced.mutable_rows());
+          return batch;
+        });
+  }
+
   std::shared_ptr<ForeignFunctionWrapper> wrapper_;
   ForeignFunctionWrapper::ForeignFunction descriptor_;
 };
 
 }  // namespace
 
-Status RegisterWrapper(fdbs::Database* db,
-                       std::shared_ptr<ForeignFunctionWrapper> wrapper) {
-  for (const auto& fn : wrapper->Functions()) {
-    FEDFLOW_RETURN_NOT_OK(db->catalog().RegisterTableFunction(
-        std::make_shared<WrapperUdtf>(wrapper, fn)));
-  }
-  return Status::OK();
-}
-
-Status RegisterWrapperFunction(fdbs::Database* db,
-                               std::shared_ptr<ForeignFunctionWrapper> wrapper,
-                               const std::string& function) {
-  for (const auto& fn : wrapper->Functions()) {
-    if (EqualsIgnoreCase(fn.name, function)) {
-      return db->catalog().RegisterTableFunction(
-          std::make_shared<WrapperUdtf>(wrapper, fn));
-    }
-  }
-  return Status::NotFound("wrapper " + wrapper->Name() +
-                          " serves no function " + function);
+Status RegisterWrapperFunction(
+    fdbs::Database* db, std::shared_ptr<ForeignFunctionWrapper> wrapper,
+    ForeignFunctionWrapper::ForeignFunction function) {
+  return db->catalog().RegisterTableFunction(
+      std::make_shared<WrapperUdtf>(std::move(wrapper), std::move(function)));
 }
 
 }  // namespace fedflow::federation

@@ -1,9 +1,12 @@
 // SQL/MED-style foreign function wrapper interface (ISO SQL Part 9 draft,
 // paper §2): a standardized boundary that isolates the FDBS from the
 // intricacies of federated function execution. The WfMS coupling implements
-// this interface; RegisterWrapper() adapts every wrapper function into an
-// FDBS table function, which is how the paper prototyped the missing
-// SQL/MED support in commercial products.
+// this interface; RegisterWrapperFunction() adapts one wrapper function into
+// an FDBS table function (the SQL/MED adapter), which is how the paper
+// prototyped the missing SQL/MED support in commercial products. The adapter
+// owns what is the same for every wrapper: the function's descriptor, the
+// coercion of result rows to its declared schema, and the retry loop around
+// the wrapper's single streaming entry point.
 #ifndef FEDFLOW_FEDERATION_MED_WRAPPER_H_
 #define FEDFLOW_FEDERATION_MED_WRAPPER_H_
 
@@ -39,41 +42,29 @@ class ForeignFunctionWrapper {
   /// All foreign functions currently served.
   virtual std::vector<ForeignFunction> Functions() const = 0;
 
-  /// Executes a foreign function. Charges its costs to ctx.clock when set.
-  virtual Result<Table> Execute(const std::string& function,
-                                const std::vector<Value>& args,
-                                fdbs::ExecContext& ctx) = 0;
-
-  /// Streaming execution: the result rows are pulled in batches of
-  /// `batch_size`, charging transfer costs incrementally where the wrapper's
-  /// transport supports it. The default adapts Execute(); a fully drained
-  /// stream charges the same total as Execute().
+  /// Executes one attempt of a foreign function and returns its result rows
+  /// as a source pulled in batches of `batch_size`, charging transfer costs
+  /// incrementally where the wrapper's transport supports it (and every cost
+  /// to ctx.clock when set). The rows arrive in the wrapper's own types; the
+  /// adapter coerces them to the declared result schema.
   virtual Result<RowSourcePtr> ExecuteStream(const std::string& function,
                                              const std::vector<Value>& args,
                                              fdbs::ExecContext& ctx,
-                                             size_t batch_size) {
-    FEDFLOW_ASSIGN_OR_RETURN(Table result, Execute(function, args, ctx));
-    return MakeTableSource(std::move(result), batch_size);
-  }
+                                             size_t batch_size) = 0;
 
-  /// Retry policy the FDBS-side adapter applies around Execute /
-  /// ExecuteStream: on a retriable failure the same function is executed
-  /// again after a backoff charged to ctx.clock. Null (the default) disables
-  /// retries. A wrapper that keeps recovery state between attempts (the WfMS
-  /// coupling's checkpoints) gets its forward recovery driven by this loop.
+  /// Retry policy the FDBS-side adapter applies around ExecuteStream: on a
+  /// retriable failure the same function is executed again after a backoff
+  /// charged to ctx.clock. Null (the default) disables retries. A wrapper
+  /// that keeps recovery state between attempts (the WfMS coupling's
+  /// checkpoints) gets its forward recovery driven by this loop.
   virtual const sim::RetryPolicy* retry_policy() const { return nullptr; }
 };
 
-/// Registers every function of `wrapper` as a table function of `db`, so it
-/// can be referenced as TABLE(fn(args)) in the FROM clause.
-Status RegisterWrapper(fdbs::Database* db,
-                       std::shared_ptr<ForeignFunctionWrapper> wrapper);
-
-/// Registers a single named function of `wrapper` (used when functions are
-/// added to the wrapper incrementally).
-Status RegisterWrapperFunction(fdbs::Database* db,
-                               std::shared_ptr<ForeignFunctionWrapper> wrapper,
-                               const std::string& function);
+/// Registers `function`, served by `wrapper`, as a table function of `db`,
+/// so it can be referenced as TABLE(fn(args)) in the FROM clause.
+Status RegisterWrapperFunction(
+    fdbs::Database* db, std::shared_ptr<ForeignFunctionWrapper> wrapper,
+    ForeignFunctionWrapper::ForeignFunction function);
 
 }  // namespace fedflow::federation
 

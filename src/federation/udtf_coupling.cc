@@ -9,10 +9,12 @@
 #include "fdbs/sql_function.h"
 #include "federation/binding.h"
 #include "federation/classify.h"
+#include "federation/controller.h"
 #include "obs/trace.h"
 #include "plan/lower_sql.h"
 #include "sim/flow_state.h"
 #include "sim/rmi.h"
+#include "sim/system_state.h"
 #include "sql/parser.h"
 #include "txn/saga.h"
 
@@ -22,19 +24,18 @@ namespace {
 
 /// An Access UDTF: bridges one local function into the FDBS. Each invocation
 /// models the paper's fenced-UDTF path: prepare the UDTF process, RMI to the
-/// controller, controller dispatch into the application system, RMI return,
-/// finish the UDTF.
+/// flow's controller, controller dispatch into the application system, RMI
+/// return, finish the UDTF.
 class AccessUdtf : public fdbs::TableFunction {
  public:
   AccessUdtf(std::string system, const appsys::AppSystem* app,
-             const appsys::LocalFunction& fn, Controller* controller,
-             const sim::LatencyModel* model, sim::FaultInjector* faults)
+             const appsys::LocalFunction& fn, const sim::LatencyModel* model,
+             sim::FaultInjector* faults)
       : system_(std::move(system)),
         app_(app),
         name_(fn.name),
         params_(fn.params),
         schema_(fn.result_schema),
-        controller_(controller),
         model_(model),
         faults_(faults),
         rmi_(model, faults) {}
@@ -43,21 +44,128 @@ class AccessUdtf : public fdbs::TableFunction {
   const std::vector<Column>& params() const override { return params_; }
   const Schema& result_schema() const override { return schema_; }
 
-  Result<Table> Invoke(const std::vector<Value>& args,
-                       fdbs::ExecContext& ctx) override {
-    SimClock* clock = ctx.clock;
+  /// The dispatch into the application system happens eagerly (the remote
+  /// side computes its full result); the RMI return leg is chunked — each
+  /// pulled batch charges its share of the wire cost, and a fully drained
+  /// stream charges exactly what a materialized call charges. Saga write
+  /// steps, output-capture steps and memoized calls need the materialized
+  /// table (dedup ledger, undo-arg capture, cache entry), so they run the
+  /// round trip materialized and stream the result out of the table.
+  Result<RowSourcePtr> InvokeStream(const std::vector<Value>& args,
+                                    fdbs::ExecContext& ctx,
+                                    size_t batch_size) override {
+    FEDFLOW_ASSIGN_OR_RETURN(sim::FlowState * flow, RequireFlow(ctx, name_));
     obs::SpanScope span(ctx.trace, "audtf:" + name_, obs::Layer::kCoupling);
     span.SetAttribute("system", system_);
-    txn::SagaExec* saga = ctx.flow != nullptr ? ctx.flow->saga : nullptr;
+    txn::SagaExec* saga = flow->saga;
     if (saga != nullptr) {
       if (const txn::SagaStep* step = saga->WriteStepFor(system_, name_)) {
-        return InvokeSagaWrite(*step, saga, args, ctx, span);
+        FEDFLOW_ASSIGN_OR_RETURN(
+            Table ack, InvokeSagaWrite(*step, saga, args, ctx, *flow, span));
+        return MakeTableSource(std::move(ack), batch_size);
       }
     }
-    // Opt-in memoization of the local call: a resident entry at the system's
-    // current data version skips the whole fenced-UDTF + RMI + dispatch path.
+    const std::string capture =
+        saga != nullptr ? saga->CaptureNodeFor(system_, name_) : "";
     const bool memoize = ctx.use_result_cache && ctx.result_cache != nullptr &&
                          app_ != nullptr;
+    if (memoize || !capture.empty()) {
+      FEDFLOW_ASSIGN_OR_RETURN(
+          Table out, InvokeMaterialized(args, ctx, *flow, memoize, span));
+      // A capture-source node's output feeds a compensation argument of a
+      // later write.
+      if (!capture.empty()) saga->RecordOutput(capture, out);
+      return MakeTableSource(std::move(out), batch_size);
+    }
+
+    SimClock* clock = ctx.clock;
+    ChargePrepare(clock);
+    Controller::DispatchResult dispatched;
+    sim::RmiChannel::CallCosts costs;
+    sim::RmiChannel::ChunkCostFn on_chunk;
+    if (clock != nullptr) {
+      on_chunk = [clock](VDuration cost) {
+        clock->Charge(sim::steps::kUdtfRmiReturns, cost);
+      };
+    }
+    Result<RowSourcePtr> source = rmi_.InvokeStreaming(
+        name_, args, DispatchHandler(flow->controller, ctx.trace, &dispatched),
+        batch_size, &costs, std::move(on_chunk), ctx.trace);
+    if (!source.ok()) {
+      span.SetStatus(source.status());
+      ChargeRoundTrip(clock, costs, nullptr, 0, /*finished=*/false);
+      return source.status();
+    }
+    // A successful streamed call reports return_us = 0: this registers the
+    // RMI-returns step at its usual breakdown position, and the actual cost
+    // arrives per chunk as the stream is drained.
+    ChargeRoundTrip(clock, costs, &dispatched, 0, /*finished=*/true);
+    return source;
+  }
+
+ private:
+  /// The RMI handler of a read call: runs under the serve-side RMI span and
+  /// dispatches through the flow's controller, giving the local-function
+  /// execution inside the application system its own appsys-layer span.
+  /// `dispatched` receives the dispatch result (costs + table).
+  sim::RmiChannel::Handler DispatchHandler(
+      Controller* controller, obs::TraceSession* trace,
+      Controller::DispatchResult* dispatched) const {
+    return [this, controller, trace, dispatched](
+               const std::string& fn,
+               const std::vector<Value>& remote_args) -> Result<Table> {
+      obs::SpanScope local(trace, "local:" + fn, obs::Layer::kAppsys);
+      local.SetAttribute("system", system_);
+      Result<Controller::DispatchResult> d =
+          controller->Dispatch(system_, fn, remote_args);
+      if (!d.ok()) {
+        local.SetStatus(d.status());
+        return d.status();
+      }
+      *dispatched = std::move(*d);
+      return dispatched->table;
+    };
+  }
+
+  /// Prepares the fenced A-UDTF process and attaches it to the controller.
+  void ChargePrepare(SimClock* clock) const {
+    if (clock == nullptr) return;
+    clock->Charge(sim::steps::kUdtfPrepareA,
+                  model_->udtf_prepare_a_us + model_->controller_attach_us);
+  }
+
+  /// Charges one RMI round trip: the request leg; when `dispatched` is set,
+  /// the controller run and the application work (plus `spike_us` of
+  /// injected latency); when `finished`, the A-UDTF finish; and last the
+  /// return leg. A failed call is not free: the request leg was spent and
+  /// the error response still travels back.
+  void ChargeRoundTrip(SimClock* clock,
+                       const sim::RmiChannel::CallCosts& costs,
+                       const Controller::DispatchResult* dispatched,
+                       VDuration spike_us, bool finished) const {
+    if (clock == nullptr) return;
+    clock->Charge(sim::steps::kUdtfRmiCalls, costs.call_us);
+    if (dispatched != nullptr) {
+      clock->Charge(sim::steps::kUdtfControllerRuns,
+                    dispatched->dispatch_cost_us);
+      clock->Charge(sim::steps::kUdtfProcessActivities,
+                    dispatched->app_cost_us + spike_us);
+    }
+    if (finished) {
+      clock->Charge(sim::steps::kUdtfFinishA,
+                    model_->udtf_finish_a_us + model_->controller_return_us);
+    }
+    clock->Charge(sim::steps::kUdtfRmiReturns, costs.return_us);
+  }
+
+  /// The materialized read call, optionally memoized: a resident entry at
+  /// the system's current data version skips the whole fenced-UDTF + RMI +
+  /// dispatch path.
+  Result<Table> InvokeMaterialized(const std::vector<Value>& args,
+                                   fdbs::ExecContext& ctx,
+                                   const sim::FlowState& flow, bool memoize,
+                                   obs::SpanScope& span) {
+    SimClock* clock = ctx.clock;
     cache::ResultCache::Key key;
     if (memoize) {
       key.scope = system_;
@@ -70,159 +178,36 @@ class AccessUdtf : public fdbs::TableFunction {
       Table resident(schema_);
       if (ctx.result_cache->Lookup(key, &resident)) {
         span.SetAttribute("cache", "hit");
-        if (saga != nullptr) RecordCapture(saga, resident);
         return resident;
       }
       span.SetAttribute("cache", "miss");
     }
     const VDuration uncached_start = clock != nullptr ? clock->now() : 0;
-    if (clock != nullptr) {
-      clock->Charge(sim::steps::kUdtfPrepareA,
-                    model_->udtf_prepare_a_us + model_->controller_attach_us);
-    }
+    ChargePrepare(clock);
     Controller::DispatchResult dispatched;
     sim::RmiChannel::CallCosts costs;
-    obs::TraceSession* trace = ctx.trace;
-    Controller* controller = FlowController(ctx);
-    auto handler = [this, controller, &dispatched, trace](
-                       const std::string& fn,
-                       const std::vector<Value>& remote_args) -> Result<Table> {
-      // Runs under the serve-side RMI span: the local-function execution
-      // inside the application system gets its own appsys-layer span.
-      obs::SpanScope local(trace, "local:" + fn, obs::Layer::kAppsys);
-      local.SetAttribute("system", system_);
-      Result<Controller::DispatchResult> d =
-          controller->Dispatch(system_, fn, remote_args);
-      if (!d.ok()) {
-        local.SetStatus(d.status());
-        return d.status();
-      }
-      dispatched = std::move(*d);
-      return dispatched.table;
-    };
-    Result<Table> out = rmi_.Invoke(name_, args, handler, &costs, ctx.trace);
+    Result<Table> out = rmi_.Invoke(
+        name_, args, DispatchHandler(flow.controller, ctx.trace, &dispatched),
+        &costs, ctx.trace);
     if (!out.ok()) {
       span.SetStatus(out.status());
-      // A failed call is not free: the request leg was spent and the error
-      // response still travels back (satellite fix for rmi cost accounting).
-      if (clock != nullptr) {
-        clock->Charge(sim::steps::kUdtfRmiCalls, costs.call_us);
-        clock->Charge(sim::steps::kUdtfRmiReturns, costs.return_us);
-      }
+      ChargeRoundTrip(clock, costs, nullptr, 0, /*finished=*/false);
       return out.status();
     }
-    if (clock != nullptr) {
-      clock->Charge(sim::steps::kUdtfRmiCalls, costs.call_us);
-      clock->Charge(sim::steps::kUdtfControllerRuns,
-                    dispatched.dispatch_cost_us);
-      clock->Charge(sim::steps::kUdtfProcessActivities, dispatched.app_cost_us);
-      clock->Charge(sim::steps::kUdtfFinishA,
-                    model_->udtf_finish_a_us + model_->controller_return_us);
-      clock->Charge(sim::steps::kUdtfRmiReturns, costs.return_us);
-    }
+    ChargeRoundTrip(clock, costs, &dispatched, 0, /*finished=*/true);
     if (memoize) {
       cache::ResultCache::Entry entry;
       entry.table = *out;
       entry.saved_cost_us =
           clock != nullptr ? clock->now() - uncached_start : 0;
-      if (ctx.flow != nullptr) {
-        entry.slot = ctx.flow->slot;
-        entry.tenant = ctx.flow->tenant;
-      }
+      entry.slot = flow.slot;
+      entry.tenant = flow.tenant;
       // The store may have moved under this call (key.version is stale then);
       // Insert keyed by the version read before the call keeps such an entry
       // unreachable for future lookups, which re-stamp the current version.
       ctx.result_cache->Insert(key, std::move(entry));
     }
-    if (saga != nullptr) RecordCapture(saga, *out);
     return out;
-  }
-
-  /// Streaming A-UDTF invocation: the dispatch into the application system
-  /// still happens eagerly (the remote side computes its full result), but
-  /// the RMI return leg is chunked — each pulled batch charges its share of
-  /// the wire cost, and a fully drained stream charges exactly what Invoke
-  /// charges.
-  Result<fedflow::RowSourcePtr> InvokeStream(const std::vector<Value>& args,
-                                             fdbs::ExecContext& ctx,
-                                             size_t batch_size) override {
-    txn::SagaExec* saga = ctx.flow != nullptr ? ctx.flow->saga : nullptr;
-    const bool saga_step =
-        saga != nullptr && (saga->WriteStepFor(system_, name_) != nullptr ||
-                            !saga->CaptureNodeFor(system_, name_).empty());
-    if (saga_step || (ctx.use_result_cache && ctx.result_cache != nullptr &&
-                      app_ != nullptr)) {
-      // Memoization wants the materialized table anyway, and a fully drained
-      // stream charges exactly what Invoke charges — so the cached path runs
-      // eagerly and streams the result out of the (possibly resident) table.
-      // Saga write and capture steps take the same route: the dedup ledger
-      // and undo-arg capture need the materialized acknowledgement.
-      FEDFLOW_ASSIGN_OR_RETURN(Table out, Invoke(args, ctx));
-      return fedflow::MakeTableSource(std::move(out), batch_size);
-    }
-    SimClock* clock = ctx.clock;
-    obs::SpanScope span(ctx.trace, "audtf:" + name_, obs::Layer::kCoupling);
-    span.SetAttribute("system", system_);
-    span.SetAttribute("streaming", "true");
-    if (clock != nullptr) {
-      clock->Charge(sim::steps::kUdtfPrepareA,
-                    model_->udtf_prepare_a_us + model_->controller_attach_us);
-    }
-    Controller::DispatchResult dispatched;
-    obs::TraceSession* trace = ctx.trace;
-    Controller* controller = FlowController(ctx);
-    auto handler = [this, controller, &dispatched, trace](
-                       const std::string& fn,
-                       const std::vector<Value>& remote_args) -> Result<Table> {
-      obs::SpanScope local(trace, "local:" + fn, obs::Layer::kAppsys);
-      local.SetAttribute("system", system_);
-      Result<Controller::DispatchResult> d =
-          controller->Dispatch(system_, fn, remote_args);
-      if (!d.ok()) {
-        local.SetStatus(d.status());
-        return d.status();
-      }
-      dispatched = std::move(*d);
-      return dispatched.table;
-    };
-    sim::RmiChannel::CallCosts costs;
-    sim::RmiChannel::ChunkCostFn on_chunk;
-    if (clock != nullptr) {
-      on_chunk = [clock](VDuration cost) {
-        clock->Charge(sim::steps::kUdtfRmiReturns, cost);
-      };
-    }
-    Result<fedflow::RowSourcePtr> source =
-        rmi_.InvokeStreaming(name_, args, handler, batch_size, &costs,
-                             std::move(on_chunk), ctx.trace);
-    if (!source.ok()) {
-      span.SetStatus(source.status());
-      if (clock != nullptr) {
-        clock->Charge(sim::steps::kUdtfRmiCalls, costs.call_us);
-        clock->Charge(sim::steps::kUdtfRmiReturns, costs.return_us);
-      }
-      return source.status();
-    }
-    if (clock != nullptr) {
-      clock->Charge(sim::steps::kUdtfRmiCalls, costs.call_us);
-      clock->Charge(sim::steps::kUdtfControllerRuns,
-                    dispatched.dispatch_cost_us);
-      clock->Charge(sim::steps::kUdtfProcessActivities, dispatched.app_cost_us);
-      clock->Charge(sim::steps::kUdtfFinishA,
-                    model_->udtf_finish_a_us + model_->controller_return_us);
-      // Register the RMI-returns step at its usual breakdown position; the
-      // actual cost arrives per chunk as the stream is drained.
-      clock->ChargeWork(sim::steps::kUdtfRmiReturns, 0);
-    }
-    return source;
-  }
-
- private:
-  /// Records the output of a capture-source node (one whose result feeds a
-  /// compensation argument of a later write) for undo-arg resolution.
-  void RecordCapture(txn::SagaExec* saga, const Table& out) const {
-    std::string node = saga->CaptureNodeFor(system_, name_);
-    if (!node.empty()) saga->RecordOutput(node, out);
   }
 
   /// The saga write path of this A-UDTF. It differs from the read path in
@@ -237,16 +222,15 @@ class AccessUdtf : public fdbs::TableFunction {
   /// this path uses a fault-free channel and consults the injector by hand.
   Result<Table> InvokeSagaWrite(const txn::SagaStep& step, txn::SagaExec* saga,
                                 const std::vector<Value>& args,
-                                fdbs::ExecContext& ctx, obs::SpanScope& span) {
+                                fdbs::ExecContext& ctx,
+                                const sim::FlowState& flow,
+                                obs::SpanScope& span) {
     SimClock* clock = ctx.clock;
     span.SetAttribute("saga.step", step.node);
     const std::string key = saga->IdempotencyKey(step);
     std::vector<Value> wire_args = args;
     wire_args.push_back(Value::Varchar(key));
-    if (clock != nullptr) {
-      clock->Charge(sim::steps::kUdtfPrepareA,
-                    model_->udtf_prepare_a_us + model_->controller_attach_us);
-    }
+    ChargePrepare(clock);
     sim::RmiChannel channel(model_, nullptr);
     sim::RmiChannel::CallCosts costs;
     obs::TraceSession* trace = ctx.trace;
@@ -267,19 +251,13 @@ class AccessUdtf : public fdbs::TableFunction {
       };
       Result<Table> out =
           channel.Invoke(name_, wire_args, replay, &costs, trace);
-      if (clock != nullptr) {
-        clock->Charge(sim::steps::kUdtfRmiCalls, costs.call_us);
-        clock->Charge(sim::steps::kUdtfFinishA,
-                      model_->udtf_finish_a_us + model_->controller_return_us);
-        clock->Charge(sim::steps::kUdtfRmiReturns, costs.return_us);
-      }
+      ChargeRoundTrip(clock, costs, nullptr, 0, /*finished=*/true);
       return out;
     }
 
     Controller::DispatchResult dispatched;
-    Controller* controller = FlowController(ctx);
-    sim::FaultInjector* faults =
-        ctx.flow != nullptr ? ctx.flow->faults : faults_;
+    Controller* controller = flow.controller;
+    sim::FaultInjector* faults = faults_;
     VDuration spike_us = 0;
     auto handler = [this, controller, saga, &step, &key, &dispatched,
                     &spike_us, trace, faults](
@@ -322,41 +300,13 @@ class AccessUdtf : public fdbs::TableFunction {
     };
     Result<Table> out = channel.Invoke(name_, wire_args, handler, &costs,
                                        trace);
-    if (!out.ok()) {
-      span.SetStatus(out.status());
-      // The request leg, the dispatch, and the applied local work were all
-      // spent before the failure; only the finish step is saved.
-      if (clock != nullptr) {
-        clock->Charge(sim::steps::kUdtfRmiCalls, costs.call_us);
-        clock->Charge(sim::steps::kUdtfControllerRuns,
-                      dispatched.dispatch_cost_us);
-        clock->Charge(sim::steps::kUdtfProcessActivities,
-                      dispatched.app_cost_us + spike_us);
-        clock->Charge(sim::steps::kUdtfRmiReturns, costs.return_us);
-      }
-      return out.status();
-    }
-    if (clock != nullptr) {
-      clock->Charge(sim::steps::kUdtfRmiCalls, costs.call_us);
-      clock->Charge(sim::steps::kUdtfControllerRuns,
-                    dispatched.dispatch_cost_us);
-      clock->Charge(sim::steps::kUdtfProcessActivities,
-                    dispatched.app_cost_us + spike_us);
-      clock->Charge(sim::steps::kUdtfFinishA,
-                    model_->udtf_finish_a_us + model_->controller_return_us);
-      clock->Charge(sim::steps::kUdtfRmiReturns, costs.return_us);
-    }
+    if (!out.ok()) span.SetStatus(out.status());
+    // The request leg, the dispatch, and the applied local work are spent
+    // whether or not the acknowledgement arrives; only a failed call saves
+    // the finish step.
+    ChargeRoundTrip(clock, costs, &dispatched, spike_us,
+                    /*finished=*/out.ok());
     return out;
-  }
-
-  /// The controller this invocation dispatches through: the flow's leased
-  /// controller under pooled execution, else the coupling's construction-time
-  /// controller (single-flow mode — bit-identical legacy behavior).
-  Controller* FlowController(const fdbs::ExecContext& ctx) const {
-    if (ctx.flow != nullptr && ctx.flow->controller != nullptr) {
-      return ctx.flow->controller;
-    }
-    return controller_;
   }
 
   std::string system_;
@@ -364,139 +314,44 @@ class AccessUdtf : public fdbs::TableFunction {
   std::string name_;
   std::vector<Column> params_;
   Schema schema_;
-  Controller* controller_;
   const sim::LatencyModel* model_;
   sim::FaultInjector* faults_;
   sim::RmiChannel rmi_;
 };
 
-/// Decorates the SQL-bodied I-UDTF with start/finish and warm-up costs.
-class InstrumentedIUdtf : public fdbs::TableFunction {
- public:
-  InstrumentedIUdtf(std::shared_ptr<fdbs::TableFunction> inner,
-                    const sim::LatencyModel* model, sim::SystemState* state,
-                    const sim::RetryPolicy* retry)
-      : inner_(std::move(inner)), model_(model), state_(state),
-        retry_(retry) {}
-
-  const std::string& name() const override { return inner_->name(); }
-  const std::vector<Column>& params() const override {
-    return inner_->params();
-  }
-  const Schema& result_schema() const override {
-    return inner_->result_schema();
-  }
-
-  Result<Table> Invoke(const std::vector<Value>& args,
-                       fdbs::ExecContext& ctx) override {
-    SimClock* clock = ctx.clock;
-    sim::SystemState* state = FlowLedger(ctx);
-    obs::SpanScope span(ctx.trace, "iudtf:" + name(), obs::Layer::kCoupling);
-    if (clock != nullptr && state != nullptr) {
-      switch (state->QueryWarmth(name())) {
-        case sim::SystemState::Warmth::kCold:
-          clock->Charge(sim::steps::kWarmup, model_->cold_infrastructure_us +
-                                                 model_->first_run_function_us);
-          break;
-        case sim::SystemState::Warmth::kWarm:
-          clock->Charge(sim::steps::kWarmup, model_->first_run_function_us);
-          break;
-        case sim::SystemState::Warmth::kHot:
-          break;
-      }
-    }
-    // Statement-level retry: the I-UDTF holds no state between attempts, so
-    // a retriable failure restarts the WHOLE body statement — every lateral
-    // A-UDTF reference runs (and charges) again. This is the architectural
-    // price the fault/recovery experiment measures.
-    sim::RetryLoop retry(retry_, clock, ctx.metrics, name());
-    while (true) {
-      if (clock != nullptr) {
-        clock->Charge(sim::steps::kUdtfStartI, model_->udtf_start_i_us);
-      }
-      Result<Table> out = inner_->Invoke(args, ctx);
-      if (out.ok()) {
-        if (clock != nullptr) {
-          clock->Charge(sim::steps::kUdtfFinishI, model_->udtf_finish_i_us);
-        }
-        if (state != nullptr) state->MarkRun(name());
-        return out;
-      }
-      if (!retry.ShouldRetry(out.status())) {
-        span.SetStatus(out.status());
-        return out.status();
-      }
-      span.AddEvent("retrying statement", out.status().message());
-      FEDFLOW_RETURN_NOT_OK(retry.Backoff());
-    }
-  }
-
-  /// Streaming I-UDTF invocation: charges warm-up and start/finish exactly
-  /// as Invoke (clock charges are order-independent), then passes the
-  /// inner function's stream through untouched.
-  Result<fedflow::RowSourcePtr> InvokeStream(const std::vector<Value>& args,
-                                             fdbs::ExecContext& ctx,
-                                             size_t batch_size) override {
-    SimClock* clock = ctx.clock;
-    sim::SystemState* state = FlowLedger(ctx);
-    obs::SpanScope span(ctx.trace, "iudtf:" + name(), obs::Layer::kCoupling);
-    span.SetAttribute("streaming", "true");
-    if (clock != nullptr && state != nullptr) {
-      switch (state->QueryWarmth(name())) {
-        case sim::SystemState::Warmth::kCold:
-          clock->Charge(sim::steps::kWarmup, model_->cold_infrastructure_us +
-                                                 model_->first_run_function_us);
-          break;
-        case sim::SystemState::Warmth::kWarm:
-          clock->Charge(sim::steps::kWarmup, model_->first_run_function_us);
-          break;
-        case sim::SystemState::Warmth::kHot:
-          break;
-      }
-    }
-    // Same statement-level retry as Invoke; only the eager part of the inner
-    // execution can fail here (stream construction), and it restarts whole.
-    sim::RetryLoop retry(retry_, clock, ctx.metrics, name());
-    while (true) {
-      if (clock != nullptr) {
-        clock->Charge(sim::steps::kUdtfStartI, model_->udtf_start_i_us);
-      }
-      Result<fedflow::RowSourcePtr> source =
-          inner_->InvokeStream(args, ctx, batch_size);
-      if (source.ok()) {
-        if (clock != nullptr) {
-          clock->Charge(sim::steps::kUdtfFinishI, model_->udtf_finish_i_us);
-        }
-        if (state != nullptr) state->MarkRun(name());
-        return source;
-      }
-      if (!retry.ShouldRetry(source.status())) {
-        span.SetStatus(source.status());
-        return source.status();
-      }
-      span.AddEvent("retrying statement", source.status().message());
-      FEDFLOW_RETURN_NOT_OK(retry.Backoff());
-    }
-  }
-
- private:
-  /// The warmth ledger this invocation charges against: the flow's leased
-  /// controller's ledger under pooled execution, else the construction-time
-  /// global state (single-flow mode).
-  sim::SystemState* FlowLedger(const fdbs::ExecContext& ctx) const {
-    if (ctx.flow != nullptr && ctx.flow->warmth != nullptr) {
-      return ctx.flow->warmth;
-    }
-    return state_;
-  }
-
-  std::shared_ptr<fdbs::TableFunction> inner_;
-  const sim::LatencyModel* model_;
-  sim::SystemState* state_;
-  const sim::RetryPolicy* retry_;
-};
-
 }  // namespace
+
+Result<RowSourcePtr> InstrumentedIUdtf::InvokeStream(
+    const std::vector<Value>& args, fdbs::ExecContext& ctx,
+    size_t batch_size) {
+  FEDFLOW_ASSIGN_OR_RETURN(sim::FlowState * flow, RequireFlow(ctx, name()));
+  SimClock* clock = ctx.clock;
+  obs::SpanScope span(ctx.trace, steps_.span_prefix + name(),
+                      obs::Layer::kCoupling);
+  sim::ChargeWarmup(*model_, *flow->warmth, name(), clock);
+  // Statement-level retry: only the eager part of the body can fail here
+  // (everything up to stream construction), and it restarts whole.
+  sim::RetryLoop retry(retry_, clock, ctx.metrics, name());
+  while (true) {
+    if (clock != nullptr) {
+      clock->Charge(steps_.start_step, model_->*steps_.start_us);
+    }
+    Result<RowSourcePtr> source = body_->InvokeStream(args, ctx, batch_size);
+    if (source.ok()) {
+      if (clock != nullptr) {
+        clock->Charge(steps_.finish_step, model_->*steps_.finish_us);
+      }
+      flow->warmth->MarkRun(name());
+      return source;
+    }
+    if (!retry.ShouldRetry(source.status())) {
+      span.SetStatus(source.status());
+      return source.status();
+    }
+    span.AddEvent("retrying statement", source.status().message());
+    FEDFLOW_RETURN_NOT_OK(retry.Backoff());
+  }
+}
 
 Status UdtfCoupling::RegisterAccessUdtfs() {
   for (const std::string& sys_name : systems_->Names()) {
@@ -505,8 +360,7 @@ Status UdtfCoupling::RegisterAccessUdtfs() {
       FEDFLOW_ASSIGN_OR_RETURN(const appsys::LocalFunction* fn,
                                sys->GetFunction(fn_name));
       FEDFLOW_RETURN_NOT_OK(db_->catalog().RegisterTableFunction(
-          std::make_shared<AccessUdtf>(sys_name, sys, *fn, controller_, model_,
-                                       faults_)));
+          std::make_shared<AccessUdtf>(sys_name, sys, *fn, model_, faults_)));
     }
   }
   return Status::OK();
@@ -631,9 +485,9 @@ Status UdtfCoupling::RegisterFederatedFunction(
   def->params = stmt.create_function->params;
   def->returns = stmt.create_function->returns;
   def->body = std::move(stmt.create_function->body);
-  auto inner = std::make_shared<fdbs::SqlTableFunction>(std::move(def));
+  auto body = std::make_shared<fdbs::SqlTableFunction>(std::move(def));
   return db_->catalog().RegisterTableFunction(std::make_shared<InstrumentedIUdtf>(
-      std::move(inner), model_, state_, retry_));
+      std::move(body), model_, retry_, kSqlIUdtfSteps));
 }
 
 }  // namespace fedflow::federation

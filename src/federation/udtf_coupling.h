@@ -8,36 +8,91 @@
 #ifndef FEDFLOW_FEDERATION_UDTF_COUPLING_H_
 #define FEDFLOW_FEDERATION_UDTF_COUPLING_H_
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "appsys/registry.h"
 #include "fdbs/database.h"
-#include "federation/controller.h"
 #include "federation/spec.h"
 #include "plan/optimizer.h"
 #include "sim/fault.h"
 #include "sim/latency.h"
-#include "sim/system_state.h"
 
 namespace fedflow::federation {
+
+/// What distinguishes one kind of I-UDTF from another: its span prefix and
+/// its modeled start/finish steps (costs are read from the latency model at
+/// call time). The warm-up surcharge and the statement-level retry are the
+/// same for every kind.
+struct IUdtfSteps {
+  const char* span_prefix;
+  const char* start_step;
+  VDuration sim::LatencyModel::*start_us;
+  const char* finish_step;
+  VDuration sim::LatencyModel::*finish_us;
+};
+
+/// The SQL-bodied I-UDTF of the enhanced SQL UDTF architecture.
+inline constexpr IUdtfSteps kSqlIUdtfSteps{
+    "iudtf:", sim::steps::kUdtfStartI, &sim::LatencyModel::udtf_start_i_us,
+    sim::steps::kUdtfFinishI, &sim::LatencyModel::udtf_finish_i_us};
+
+/// The procedural I-UDTF of the enhanced Java UDTF architecture.
+inline constexpr IUdtfSteps kJavaIUdtfSteps{
+    "java-iudtf:", sim::steps::kJavaStartI,
+    &sim::LatencyModel::java_iudtf_start_us, sim::steps::kJavaFinishI,
+    &sim::LatencyModel::java_iudtf_finish_us};
+
+/// An Integration UDTF: decorates the federated function's body (a
+/// SQL-bodied function, or the Java coupling's procedural interpreter) with
+/// the flow's warm-up surcharge, the I-UDTF start/finish steps and the
+/// statement-level retry. Because an I-UDTF keeps no state between attempts,
+/// a retriable failure restarts the WHOLE body — every A-UDTF it references
+/// runs (and charges) again; saga write steps survive the restart through
+/// the dedup ledger.
+class InstrumentedIUdtf : public fdbs::TableFunction {
+ public:
+  InstrumentedIUdtf(std::shared_ptr<fdbs::TableFunction> body,
+                    const sim::LatencyModel* model,
+                    const sim::RetryPolicy* retry, const IUdtfSteps& steps)
+      : body_(std::move(body)), model_(model), retry_(retry), steps_(steps) {}
+
+  const std::string& name() const override { return body_->name(); }
+  const std::vector<Column>& params() const override {
+    return body_->params();
+  }
+  const Schema& result_schema() const override {
+    return body_->result_schema();
+  }
+
+  /// Requires a flow (RequireFlow); the body's stream passes through.
+  Result<RowSourcePtr> InvokeStream(const std::vector<Value>& args,
+                                    fdbs::ExecContext& ctx,
+                                    size_t batch_size) override;
+
+ private:
+  std::shared_ptr<fdbs::TableFunction> body_;
+  const sim::LatencyModel* model_;
+  const sim::RetryPolicy* retry_;
+  IUdtfSteps steps_;
+};
 
 /// Wires the UDTF architecture into an FDBS.
 class UdtfCoupling {
  public:
   /// `faults` (optional) makes the A-UDTF RMI channels unreliable; `retry`
-  /// (optional) is the statement-level retry policy of the I-UDTFs. Because
-  /// an I-UDTF keeps no state between attempts, a retry restarts the WHOLE
-  /// SQL statement — every A-UDTF runs again (contrast WfmsCoupling, which
-  /// resumes from the engine's checkpoint).
+  /// (optional) is the statement-level retry policy of the I-UDTFs (see
+  /// InstrumentedIUdtf; contrast WfmsCoupling, which resumes from the
+  /// engine's checkpoint). The controller a call dispatches through and the
+  /// ledger it warms come from the call's flow, never from the coupling.
   UdtfCoupling(fdbs::Database* db, const appsys::AppSystemRegistry* systems,
-               Controller* controller, const sim::LatencyModel* model,
-               sim::SystemState* state, sim::FaultInjector* faults = nullptr,
+               const sim::LatencyModel* model,
+               sim::FaultInjector* faults = nullptr,
                const sim::RetryPolicy* retry = nullptr)
       : db_(db),
         systems_(systems),
-        controller_(controller),
         model_(model),
-        state_(state),
         faults_(faults),
         retry_(retry) {}
 
@@ -87,9 +142,7 @@ class UdtfCoupling {
  private:
   fdbs::Database* db_;
   const appsys::AppSystemRegistry* systems_;
-  Controller* controller_;
   const sim::LatencyModel* model_;
-  sim::SystemState* state_;
   sim::FaultInjector* faults_;
   const sim::RetryPolicy* retry_;
 };

@@ -3,10 +3,12 @@
 #include "common/codec.h"
 #include "common/strings.h"
 #include "federation/binding.h"
+#include "federation/controller.h"
 #include "obs/trace.h"
 #include "plan/lower_wfms.h"
 #include "sim/flow_state.h"
 #include "sim/rmi.h"
+#include "sim/system_state.h"
 #include "txn/saga_invoker.h"
 
 namespace fedflow::federation {
@@ -98,45 +100,19 @@ void WfmsWrapper::StoreRecovery(const std::string& function,
   recovery_[ToUpper(function)] = std::move(rec);
 }
 
-Controller* WfmsWrapper::FlowController(const fdbs::ExecContext& ctx) const {
-  if (ctx.flow != nullptr && ctx.flow->controller != nullptr) {
-    return ctx.flow->controller;
-  }
-  return controller_;
-}
-
-sim::SystemState* WfmsWrapper::FlowLedger(const fdbs::ExecContext& ctx) const {
-  if (ctx.flow != nullptr && ctx.flow->warmth != nullptr) {
-    return ctx.flow->warmth;
-  }
-  return state_;
-}
-
-Result<Table> WfmsWrapper::Execute(const std::string& function,
-                                   const std::vector<Value>& args,
-                                   fdbs::ExecContext& ctx) {
-  SimClock* clock = ctx.clock;
-  sim::SystemState* state = FlowLedger(ctx);
-  if (!FlowController(ctx)->started()) {
+Result<RowSourcePtr> WfmsWrapper::ExecuteStream(const std::string& function,
+                                                const std::vector<Value>& args,
+                                                fdbs::ExecContext& ctx,
+                                                size_t batch_size) {
+  FEDFLOW_ASSIGN_OR_RETURN(sim::FlowState * flow, RequireFlow(ctx, function));
+  if (!flow->controller->started()) {
     return Status::ExecutionError(
         "controller not started; boot the integration environment first");
   }
+  SimClock* clock = ctx.clock;
   obs::SpanScope span(ctx.trace, "wrapper:" + function, obs::Layer::kCoupling);
   span.SetAttribute("architecture", "wfms");
-  // Warm-up surcharges (cold/warm/hot experiment).
-  if (clock != nullptr && state != nullptr) {
-    switch (state->QueryWarmth(function)) {
-      case sim::SystemState::Warmth::kCold:
-        clock->Charge(sim::steps::kWarmup, model_->cold_infrastructure_us +
-                                               model_->first_run_function_us);
-        break;
-      case sim::SystemState::Warmth::kWarm:
-        clock->Charge(sim::steps::kWarmup, model_->first_run_function_us);
-        break;
-      case sim::SystemState::Warmth::kHot:
-        break;
-    }
-  }
+  sim::ChargeWarmup(*model_, *flow->warmth, function, clock);
   if (clock != nullptr) {
     clock->Charge(sim::steps::kWfStartUdtf, model_->wf_udtf_start_us);
     clock->Charge(sim::steps::kWfProcessUdtf,
@@ -145,7 +121,7 @@ Result<Table> WfmsWrapper::Execute(const std::string& function,
 
   // One RMI call ships the request to the workflow engine; the process runs
   // behind it, recoverably: the engine checkpoints completed activities into
-  // the wrapper's per-function recovery slot, so a retried Execute resumes
+  // the wrapper's per-function recovery slot, so a retried attempt resumes
   // the failed instance from the last completed activity.
   PendingRecovery rec = TakeRecovery(function, args);
   const bool resuming = rec.ckpt.valid;
@@ -159,12 +135,8 @@ Result<Table> WfmsWrapper::Execute(const std::string& function,
   // through the saga invoker, which dedups applied writes by idempotency key
   // and moves the fault consultation after the apply (a lost-response fault
   // must leave the write committed — that is what the ledger compensates).
-  txn::SagaExec* saga = ctx.flow != nullptr ? ctx.flow->saga : nullptr;
-  txn::SagaInvoker saga_invoker(
-      &invoker_, systems_, model_,
-      ctx.flow != nullptr && ctx.flow->faults != nullptr ? ctx.flow->faults
-                                                         : faults_,
-      saga);
+  txn::SagaExec* saga = flow->saga;
+  txn::SagaInvoker saga_invoker(&invoker_, systems_, model_, faults_, saga);
   wfms::ProgramInvoker* invoker =
       saga != nullptr ? static_cast<wfms::ProgramInvoker*>(&saga_invoker)
                       : &invoker_;
@@ -187,9 +159,17 @@ Result<Table> WfmsWrapper::Execute(const std::string& function,
     process_result = std::move(*run);
     return process_result.output;
   };
-  Result<Table> invoked = rmi.Invoke(function, args, handler, &costs, trace);
-  if (!invoked.ok()) {
-    span.SetStatus(invoked.status());
+  sim::RmiChannel::ChunkCostFn on_chunk;
+  if (clock != nullptr) {
+    on_chunk = [clock](VDuration cost) {
+      clock->Charge(sim::steps::kWfRmiReturn, cost);
+    };
+  }
+  Result<RowSourcePtr> streamed =
+      rmi.InvokeStreaming(function, args, handler, batch_size, &costs,
+                          std::move(on_chunk), trace);
+  if (!streamed.ok()) {
+    span.SetStatus(streamed.status());
     // Charge what the failed attempt really consumed: the RMI legs always
     // (request plus error response), and — when the engine ran and left a
     // checkpoint — the process start plus the attempt's partial work, with
@@ -215,9 +195,8 @@ Result<Table> WfmsWrapper::Execute(const std::string& function,
       clock->Charge(sim::steps::kWfRmiReturn, costs.return_us);
     }
     StoreRecovery(function, std::move(rec));
-    return invoked.status();
+    return streamed.status();
   }
-  Table out = std::move(invoked).ValueUnsafe();
   if (clock != nullptr) {
     clock->Charge(sim::steps::kWfRmiCall, costs.call_us);
     if (!resuming) {
@@ -233,181 +212,27 @@ Result<Table> WfmsWrapper::Execute(const std::string& function,
     VDuration delta = process_result.elapsed_us - rec.engine_charged_us;
     if (delta > 0) clock->AdvanceTo(clock->now() + delta);
     clock->Charge(sim::steps::kWfController, model_->wf_controller_us);
-    clock->Charge(sim::steps::kWfRmiReturn, costs.return_us);
-    clock->Charge(sim::steps::kWfFinishUdtf, model_->wf_udtf_finish_us);
-  }
-  // Success: the recovery entry taken at the top is simply dropped.
-  if (state != nullptr) state->MarkRun(function);
-
-  // Coerce to the declared result schema.
-  for (const ForeignFunction& fn : functions_) {
-    if (EqualsIgnoreCase(fn.name, function)) {
-      Table coerced(fn.result_schema);
-      for (Row& r : out.mutable_rows()) {
-        FEDFLOW_RETURN_NOT_OK(coerced.AppendRow(std::move(r)));
-      }
-      return coerced;
-    }
-  }
-  return out;
-}
-
-Result<RowSourcePtr> WfmsWrapper::ExecuteStream(const std::string& function,
-                                                const std::vector<Value>& args,
-                                                fdbs::ExecContext& ctx,
-                                                size_t batch_size) {
-  SimClock* clock = ctx.clock;
-  sim::SystemState* state = FlowLedger(ctx);
-  if (!FlowController(ctx)->started()) {
-    return Status::ExecutionError(
-        "controller not started; boot the integration environment first");
-  }
-  obs::SpanScope span(ctx.trace, "wrapper:" + function, obs::Layer::kCoupling);
-  span.SetAttribute("architecture", "wfms");
-  span.SetAttribute("streaming", "true");
-  if (clock != nullptr && state != nullptr) {
-    switch (state->QueryWarmth(function)) {
-      case sim::SystemState::Warmth::kCold:
-        clock->Charge(sim::steps::kWarmup, model_->cold_infrastructure_us +
-                                               model_->first_run_function_us);
-        break;
-      case sim::SystemState::Warmth::kWarm:
-        clock->Charge(sim::steps::kWarmup, model_->first_run_function_us);
-        break;
-      case sim::SystemState::Warmth::kHot:
-        break;
-    }
-  }
-  if (clock != nullptr) {
-    clock->Charge(sim::steps::kWfStartUdtf, model_->wf_udtf_start_us);
-    clock->Charge(sim::steps::kWfProcessUdtf,
-                  model_->wf_udtf_process_us + model_->wf_controller_process_us);
-  }
-
-  PendingRecovery rec = TakeRecovery(function, args);
-  const bool resuming = rec.ckpt.valid;
-  if (resuming) span.SetAttribute("resumed", "true");
-  sim::RmiChannel rmi(model_, faults_);
-  sim::RmiChannel::CallCosts costs;
-  wfms::ProcessResult process_result;
-  bool engine_ran = false;
-  obs::TraceSession* trace = ctx.trace;
-  // Same saga routing as Execute (see there).
-  txn::SagaExec* saga = ctx.flow != nullptr ? ctx.flow->saga : nullptr;
-  txn::SagaInvoker saga_invoker(
-      &invoker_, systems_, model_,
-      ctx.flow != nullptr && ctx.flow->faults != nullptr ? ctx.flow->faults
-                                                         : faults_,
-      saga);
-  wfms::ProgramInvoker* invoker =
-      saga != nullptr ? static_cast<wfms::ProgramInvoker*>(&saga_invoker)
-                      : &invoker_;
-  auto handler = [this, invoker, &process_result, &rec, &engine_ran, trace,
-                  clock](const std::string& fn,
-                         const std::vector<Value>& remote_args)
-      -> Result<Table> {
-    engine_ran = true;
-    obs::TraceHandle engine_trace;
-    if (trace != nullptr && trace->active()) {
-      engine_trace = obs::TraceHandle{trace->tracer(), trace->current(),
-                                      clock != nullptr ? clock->now() : 0};
-    }
-    Result<wfms::ProcessResult> run = engine_->RunRecoverable(
-        fn, remote_args, invoker, &rec.ckpt, engine_trace);
-    if (!run.ok()) return run.status();
-    process_result = std::move(*run);
-    return process_result.output;
-  };
-  sim::RmiChannel::ChunkCostFn on_chunk;
-  if (clock != nullptr) {
-    on_chunk = [clock](VDuration cost) {
-      clock->Charge(sim::steps::kWfRmiReturn, cost);
-    };
-  }
-  Result<RowSourcePtr> streamed =
-      rmi.InvokeStreaming(function, args, handler, batch_size, &costs,
-                          std::move(on_chunk), trace);
-  if (!streamed.ok()) {
-    span.SetStatus(streamed.status());
-    // Same failed-attempt accounting as Execute: RMI legs, and partial
-    // engine progress when a checkpoint was left behind.
-    if (clock != nullptr) {
-      clock->Charge(sim::steps::kWfRmiCall, costs.call_us);
-      if (engine_ran) {
-        if (!resuming) {
-          clock->Charge(sim::steps::kWfProcessStart,
-                        model_->wf_process_start_us);
-        }
-        if (rec.ckpt.valid) {
-          for (const auto& [step, dur] : rec.ckpt.attempt_work.entries()) {
-            clock->ChargeWork(step, dur);
-          }
-          VDuration delta = rec.ckpt.failed_at_us - rec.engine_charged_us;
-          if (delta > 0) {
-            clock->AdvanceTo(clock->now() + delta);
-            rec.engine_charged_us = rec.ckpt.failed_at_us;
-          }
-        }
-      }
-      clock->Charge(sim::steps::kWfRmiReturn, costs.return_us);
-    }
-    StoreRecovery(function, std::move(rec));
-    return streamed.status();
-  }
-  RowSourcePtr source = std::move(streamed).ValueUnsafe();
-  if (clock != nullptr) {
-    clock->Charge(sim::steps::kWfRmiCall, costs.call_us);
-    if (!resuming) {
-      clock->Charge(sim::steps::kWfProcessStart, model_->wf_process_start_us);
-    }
-    for (const auto& [step, dur] : process_result.breakdown.entries()) {
-      clock->ChargeWork(step, dur);
-    }
-    VDuration delta = process_result.elapsed_us - rec.engine_charged_us;
-    if (delta > 0) clock->AdvanceTo(clock->now() + delta);
-    clock->Charge(sim::steps::kWfController, model_->wf_controller_us);
     // Register the RMI-return step at its usual breakdown position; the
     // actual cost arrives per chunk as the stream is drained.
     clock->ChargeWork(sim::steps::kWfRmiReturn, 0);
     clock->Charge(sim::steps::kWfFinishUdtf, model_->wf_udtf_finish_us);
   }
   // Success: the recovery entry taken at the top is simply dropped.
-  if (state != nullptr) state->MarkRun(function);
-
-  // Coerce each pulled batch to the declared result schema.
-  for (const ForeignFunction& fn : functions_) {
-    if (EqualsIgnoreCase(fn.name, function)) {
-      std::shared_ptr<RowSource> inner(std::move(source));
-      Schema target = fn.result_schema;
-      return MakeGeneratorSource(
-          fn.result_schema, [inner, target]() -> Result<RowBatch> {
-            FEDFLOW_ASSIGN_OR_RETURN(RowBatch raw, inner->Next());
-            if (raw.empty()) return raw;
-            Table coerced(target);
-            for (Row& r : raw.rows) {
-              FEDFLOW_RETURN_NOT_OK(coerced.AppendRow(std::move(r)));
-            }
-            RowBatch batch;
-            batch.rows = std::move(coerced.mutable_rows());
-            return batch;
-          });
-    }
-  }
-  return source;
+  flow->warmth->MarkRun(function);
+  return streamed;
 }
 
 WfmsCoupling::WfmsCoupling(fdbs::Database* db, wfms::Engine* engine,
                            const appsys::AppSystemRegistry* systems,
-                           Controller* controller,
                            const sim::LatencyModel* model,
-                           sim::SystemState* state, sim::FaultInjector* faults,
+                           sim::FaultInjector* faults,
                            const sim::RetryPolicy* retry)
     : db_(db),
       engine_(engine),
       systems_(systems),
       model_(model),
-      wrapper_(std::make_shared<WfmsWrapper>(engine, systems, controller,
-                                             model, state, faults, retry)) {}
+      wrapper_(std::make_shared<WfmsWrapper>(engine, systems, model, faults,
+                                             retry)) {}
 
 Result<CompiledProcess> WfmsCoupling::CompileProcess(
     const FederatedFunctionSpec& spec,
@@ -453,7 +278,7 @@ Status WfmsCoupling::RegisterFederatedFunction(
   FEDFLOW_ASSIGN_OR_RETURN(descriptor.result_schema,
                            ResolveResultSchema(spec, *systems_));
   wrapper_->AddFunction(descriptor);
-  return RegisterWrapperFunction(db_, wrapper_, spec.name);
+  return RegisterWrapperFunction(db_, wrapper_, std::move(descriptor));
 }
 
 }  // namespace fedflow::federation

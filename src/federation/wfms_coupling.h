@@ -16,13 +16,11 @@
 
 #include "appsys/registry.h"
 #include "fdbs/database.h"
-#include "federation/controller.h"
 #include "federation/med_wrapper.h"
 #include "federation/spec.h"
 #include "plan/optimizer.h"
 #include "sim/fault.h"
 #include "sim/latency.h"
-#include "sim/system_state.h"
 #include "wfms/engine.h"
 
 namespace fedflow::federation {
@@ -69,19 +67,18 @@ class WfmsWrapper : public ForeignFunctionWrapper {
   /// `faults` feeds both the wrapper's RMI channel (federated-function
   /// level) and the program invoker (local-function level); `retry` is
   /// surfaced through retry_policy() so the SQL/MED adapter drives the retry
-  /// loop. Each Execute call is ONE attempt; between attempts the wrapper
-  /// keeps the engine's InstanceCheckpoint, so a retried call resumes the
-  /// failed process instance instead of restarting it — the paper's
-  /// forward-recovery argument for the WfMS coupling.
+  /// loop. Each ExecuteStream call is ONE attempt; between attempts the
+  /// wrapper keeps the engine's InstanceCheckpoint, so a retried call resumes
+  /// the failed process instance instead of restarting it — the paper's
+  /// forward-recovery argument for the WfMS coupling. The controller that
+  /// must be running and the ledger the call warms come from the call's flow.
   WfmsWrapper(wfms::Engine* engine, const appsys::AppSystemRegistry* systems,
-              Controller* controller, const sim::LatencyModel* model,
-              sim::SystemState* state, sim::FaultInjector* faults = nullptr,
+              const sim::LatencyModel* model,
+              sim::FaultInjector* faults = nullptr,
               const sim::RetryPolicy* retry = nullptr)
       : engine_(engine),
         systems_(systems),
-        controller_(controller),
         model_(model),
-        state_(state),
         faults_(faults),
         retry_(retry),
         invoker_(systems, model, faults) {}
@@ -97,13 +94,11 @@ class WfmsWrapper : public ForeignFunctionWrapper {
     functions_.push_back(std::move(fn));
   }
 
-  Result<Table> Execute(const std::string& function,
-                        const std::vector<Value>& args,
-                        fdbs::ExecContext& ctx) override;
-
-  /// Streaming execution: the process still runs to completion inside the
-  /// engine (a workflow instance is atomic), but the RMI return leg streams
-  /// the result rows back in chunks, charging wire cost per pulled batch.
+  /// Runs the process behind one RMI call. The process still runs to
+  /// completion inside the engine (a workflow instance is atomic), but the
+  /// RMI return leg streams the result rows back in chunks, charging wire
+  /// cost per pulled batch. Requires a flow (RequireFlow) whose controller
+  /// is started.
   Result<RowSourcePtr> ExecuteStream(const std::string& function,
                                      const std::vector<Value>& args,
                                      fdbs::ExecContext& ctx,
@@ -144,16 +139,9 @@ class WfmsWrapper : public ForeignFunctionWrapper {
                                const std::vector<Value>& args);
   void StoreRecovery(const std::string& function, PendingRecovery rec);
 
-  /// Per-flow controller / warmth ledger with single-flow fallback to the
-  /// construction-time wiring (see fdbs::ExecContext::flow).
-  Controller* FlowController(const fdbs::ExecContext& ctx) const;
-  sim::SystemState* FlowLedger(const fdbs::ExecContext& ctx) const;
-
   wfms::Engine* engine_;
   const appsys::AppSystemRegistry* systems_;
-  Controller* controller_;
   const sim::LatencyModel* model_;
-  sim::SystemState* state_;
   sim::FaultInjector* faults_;
   const sim::RetryPolicy* retry_;
   WfmsProgramInvoker invoker_;
@@ -167,8 +155,8 @@ class WfmsCoupling {
  public:
   WfmsCoupling(fdbs::Database* db, wfms::Engine* engine,
                const appsys::AppSystemRegistry* systems,
-               Controller* controller, const sim::LatencyModel* model,
-               sim::SystemState* state, sim::FaultInjector* faults = nullptr,
+               const sim::LatencyModel* model,
+               sim::FaultInjector* faults = nullptr,
                const sim::RetryPolicy* retry = nullptr);
 
   /// Compiles a spec into a process definition plus required helpers by

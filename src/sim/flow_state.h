@@ -1,9 +1,13 @@
-// Per-invocation flow state. Every federated statement runs as one *flow*:
-// it gets its own virtual clock, its own trace session, and — under pooled
-// execution — a leased controller plus that controller's warmth ledger. The
-// global single-flow SystemState of earlier revisions is split in two: the
-// per-invocation part lives here, the shared warm-resource part lives in
-// resource_pools.h (WarmPool / ResourcePools).
+// Per-invocation flow state. Every federated statement runs as one *flow*: a
+// tenant plus what the flow leased for its duration — a controller from the
+// ControllerPool, that controller's warmth ledger and warm-pool slot — and,
+// for a write-path function, its saga execution. The flow's virtual clock
+// and trace session are not part of it: they live in fdbs::ExecContext, the
+// statement context that points at this struct. The shared warm-resource
+// part lives in resource_pools.h (WarmPool / ResourcePools).
+//
+// Every coupling invocation requires a flow: a call that reaches a coupling
+// without one fails with a Status (federation::RequireFlow).
 //
 // Layering note: the flow carries a federation::Controller* strictly as an
 // opaque lease handle (forward-declared, never dereferenced below the
@@ -14,16 +18,11 @@
 #include <cstdint>
 #include <string>
 
-#include "common/vclock.h"
 #include "sim/system_state.h"
 
 namespace fedflow::federation {
 class Controller;
 }  // namespace fedflow::federation
-
-namespace fedflow::obs {
-class TraceSession;
-}  // namespace fedflow::obs
 
 namespace fedflow::txn {
 class SagaExec;
@@ -31,32 +30,16 @@ class SagaExec;
 
 namespace fedflow::sim {
 
-class FaultInjector;
-
-/// Everything one in-flight federated invocation owns or has leased.
-/// Couplings reach it through fdbs::ExecContext::flow; a null flow (or null
-/// member) falls back to the coupling's construction-time wiring, which is
-/// how single-flow callers stay bit-identical.
+/// Everything one in-flight federated invocation is accounted against or
+/// has leased. Couplings reach it through fdbs::ExecContext::flow.
 struct FlowState {
-  /// Monotonic id assigned by the server (0 = unassigned).
-  int64_t flow_id = 0;
-
   /// Tenant the invocation is accounted against ("default" when the caller
-  /// is tenant-agnostic). Drives pool quotas and tenant-scoped metrics.
+  /// is tenant-agnostic). Result-cache entries the flow produces record it.
   std::string tenant = "default";
 
-  /// The flow's private virtual clock; one statement, one timeline.
-  SimClock clock;
-
-  /// The flow's trace session (not owned; may be null).
-  obs::TraceSession* trace = nullptr;
-
-  /// Shared fault injector (not owned; per-function streams keep outcomes
-  /// independent of flow interleaving). May be null.
-  FaultInjector* faults = nullptr;
-
   /// Controller leased to this flow from the ControllerPool (not owned;
-  /// opaque below the federation layer). Null = use the coupling's default.
+  /// opaque below the federation layer). The A-UDTFs dispatch through it and
+  /// the WfMS wrapper refuses to run while it is stopped.
   federation::Controller* controller = nullptr;
 
   /// Warmth ledger of the leased controller (not owned). Cold/warm/hot
@@ -70,9 +53,9 @@ struct FlowState {
 
   /// Saga execution of a write-path federated function (not owned; opaque
   /// below the txn layer like `controller`). Null for read-only calls — the
-  /// overwhelmingly common case, which stays bit-identical. When set, the
-  /// couplings route mutating local calls through the saga's idempotency
-  /// ledger and record captured outputs for compensation.
+  /// overwhelmingly common case. When set, the couplings route mutating
+  /// local calls through the saga's idempotency ledger and record captured
+  /// outputs for compensation.
   txn::SagaExec* saga = nullptr;
 };
 

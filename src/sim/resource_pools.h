@@ -11,8 +11,7 @@
 // Determinism: every selection and eviction decision is ranked by a
 // monotonic use-sequence counter, never by wall time, so a fixed sequence of
 // Acquire/Release calls always produces the same slots, warmths and
-// evictions. All operations are mutex-guarded for the threaded load-smoke
-// mode.
+// evictions. All operations are mutex-guarded for fedload's threaded mode.
 #ifndef FEDFLOW_SIM_RESOURCE_POOLS_H_
 #define FEDFLOW_SIM_RESOURCE_POOLS_H_
 

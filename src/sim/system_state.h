@@ -9,7 +9,9 @@
 #include <string>
 
 #include "common/strings.h"
+#include "common/vclock.h"
 #include "obs/metrics.h"
+#include "sim/latency.h"
 
 namespace fedflow::sim {
 
@@ -75,6 +77,33 @@ inline const char* WarmthName(SystemState::Warmth w) {
       return "hot";
   }
   return "?";
+}
+
+/// The warm-up surcharge of a call at warmth `w`: a cold call establishes
+/// the infrastructure and runs its function for the first time, a warm call
+/// only pays the first run, a hot call nothing.
+inline VDuration WarmupSurchargeUs(const LatencyModel& model,
+                                   SystemState::Warmth w) {
+  switch (w) {
+    case SystemState::Warmth::kCold:
+      return model.cold_infrastructure_us + model.first_run_function_us;
+    case SystemState::Warmth::kWarm:
+      return model.first_run_function_us;
+    case SystemState::Warmth::kHot:
+      return 0;
+  }
+  return 0;
+}
+
+/// Charges the warm-up surcharge the next call of `function` pays on
+/// `ledger` to `clock` (null = untimed). A hot call records no step at all,
+/// so hot breakdowns carry no empty warm-up row.
+inline void ChargeWarmup(const LatencyModel& model, const SystemState& ledger,
+                         const std::string& function, SimClock* clock) {
+  const SystemState::Warmth w = ledger.QueryWarmth(function);
+  if (clock != nullptr && w != SystemState::Warmth::kHot) {
+    clock->Charge(steps::kWarmup, WarmupSurchargeUs(model, w));
+  }
 }
 
 }  // namespace fedflow::sim

@@ -23,13 +23,14 @@ class CountingRows : public TableFunction {
   }
   const std::vector<Column>& params() const override { return params_; }
   const Schema& result_schema() const override { return schema_; }
-  Result<Table> Invoke(const std::vector<Value>& args, ExecContext&) override {
+  Result<RowSourcePtr> InvokeStream(const std::vector<Value>& args,
+                                    ExecContext&, size_t batch_size) override {
     ++invocations;
     Table t(schema_);
     for (int i = 1; i <= args[0].AsInt(); ++i) {
       t.AppendRowUnchecked({Value::Int(i)});
     }
-    return t;
+    return MakeTableSource(std::move(t), batch_size);
   }
   std::vector<Column> params_;
   Schema schema_;

@@ -10,6 +10,7 @@
 #include "federation/sample_scenario.h"
 #include "federation/udtf_coupling.h"
 #include "federation/wfms_coupling.h"
+#include "in_flow.h"
 #include "sql/parser.h"
 #include "wfms/fdl.h"
 
@@ -30,12 +31,17 @@ class CouplingTest : public ::testing::Test {
       : scenario_(appsys::GenerateScenario({})),
         controller_(&systems_, &model_),
         engine_(EngineOpts(model_)),
-        udtf_(&db_, &systems_, &controller_, &model_, &state_),
-        wfms_(&db_, &engine_, &systems_, &controller_, &model_, &state_) {
+        udtf_(&db_, &systems_, &model_),
+        wfms_(&db_, &engine_, &systems_, &model_) {
     (void)systems_.Add(std::make_shared<appsys::StockKeepingSystem>(scenario_));
     (void)systems_.Add(std::make_shared<appsys::PurchasingSystem>(scenario_));
     (void)systems_.Add(std::make_shared<appsys::PdmSystem>(scenario_));
     controller_.Start();
+  }
+
+  /// Runs `sql` in a flow on the fixture's controller and ledger.
+  Result<Table> Execute(const std::string& sql, SimClock* clock = nullptr) {
+    return ExecuteInFlow(db_, &controller_, &state_, sql, clock);
   }
 
   appsys::Scenario scenario_;
@@ -159,7 +165,7 @@ TEST_F(CouplingTest, RegisterFederatedFunctionMakesItQueryable) {
   ASSERT_TRUE(udtf_.RegisterAccessUdtfs().ok());
   ASSERT_TRUE(udtf_.RegisterFederatedFunction(GibKompNrSpec()).ok());
   auto result =
-      db_.Execute("SELECT G.Nr FROM TABLE (GibKompNr('brakepad')) AS G");
+      Execute("SELECT G.Nr FROM TABLE (GibKompNr('brakepad')) AS G");
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->rows()[0][0].AsInt(), 17);
 }
@@ -172,10 +178,8 @@ TEST_F(CouplingTest, AccessUdtfRegistrationIsIdempotentlyRejected) {
 TEST_F(CouplingTest, AccessUdtfGoesThroughControllerAndCharges) {
   ASSERT_TRUE(udtf_.RegisterAccessUdtfs().ok());
   SimClock clock;
-  fdbs::ExecContext ctx;
-  ctx.clock = &clock;
-  auto result = db_.Execute(
-      "SELECT GQ.Qual FROM TABLE (GetQuality(1234)) AS GQ", ctx);
+  auto result =
+      Execute("SELECT GQ.Qual FROM TABLE (GetQuality(1234)) AS GQ", &clock);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(controller_.dispatch_count(), 1);
   EXPECT_GT(clock.breakdown().Of(sim::steps::kUdtfPrepareA), 0);
@@ -186,10 +190,13 @@ TEST_F(CouplingTest, AccessUdtfGoesThroughControllerAndCharges) {
 TEST_F(CouplingTest, StoppedControllerFailsAccessUdtfs) {
   ASSERT_TRUE(udtf_.RegisterAccessUdtfs().ok());
   controller_.Stop();
-  auto result =
-      db_.Execute("SELECT GQ.Qual FROM TABLE (GetQuality(1234)) AS GQ");
+  auto result = Execute("SELECT GQ.Qual FROM TABLE (GetQuality(1234)) AS GQ");
   ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("controller"), std::string::npos);
+  // The flow is there; its controller is what refuses.
+  EXPECT_NE(result.status().message().find("controller not started"),
+            std::string::npos)
+      << result.status();
+  EXPECT_EQ(result.status().message().find("no flow"), std::string::npos);
 }
 
 // --- WfMS coupling: compiled processes ------------------------------------------
@@ -249,7 +256,7 @@ TEST_F(CouplingTest, CompiledProcessesRenderAsFdl) {
 
 TEST_F(CouplingTest, WfmsRegisterFederatedFunctionMakesItQueryable) {
   ASSERT_TRUE(wfms_.RegisterFederatedFunction(GetSuppQualReliaSpec()).ok());
-  auto result = db_.Execute(
+  auto result = Execute(
       "SELECT R.Qual, R.Relia FROM TABLE (GetSuppQualRelia(1234)) AS R");
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->rows()[0][0].AsInt(), 9);
@@ -267,10 +274,8 @@ TEST_F(CouplingTest, WrapperListsRegisteredFunctions) {
 TEST_F(CouplingTest, WrapperChargesWfmsCostCategories) {
   ASSERT_TRUE(wfms_.RegisterFederatedFunction(GetSuppQualSpec()).ok());
   SimClock clock;
-  fdbs::ExecContext ctx;
-  ctx.clock = &clock;
-  auto result = db_.Execute(
-      "SELECT R.Qual FROM TABLE (GetSuppQual('Stark')) AS R", ctx);
+  auto result =
+      Execute("SELECT R.Qual FROM TABLE (GetSuppQual('Stark')) AS R", &clock);
   ASSERT_TRUE(result.ok()) << result.status();
   const TimeBreakdown& b = clock.breakdown();
   EXPECT_GT(b.Of(sim::steps::kWfStartUdtf), 0);
@@ -285,9 +290,13 @@ TEST_F(CouplingTest, WrapperChargesWfmsCostCategories) {
 TEST_F(CouplingTest, StoppedControllerFailsWrapper) {
   ASSERT_TRUE(wfms_.RegisterFederatedFunction(GibKompNrSpec()).ok());
   controller_.Stop();
-  auto result =
-      db_.Execute("SELECT G.Nr FROM TABLE (GibKompNr('brakepad')) AS G");
-  EXPECT_FALSE(result.ok());
+  auto result = Execute("SELECT G.Nr FROM TABLE (GibKompNr('brakepad')) AS G");
+  ASSERT_FALSE(result.ok());
+  // The flow is there; its controller is what refuses.
+  EXPECT_NE(result.status().message().find("controller not started"),
+            std::string::npos)
+      << result.status();
+  EXPECT_EQ(result.status().message().find("no flow"), std::string::npos);
 }
 
 TEST_F(CouplingTest, ControllerDispatchRoutesAndCounts) {

@@ -13,6 +13,7 @@
 #include "federation/java_coupling.h"
 #include "federation/udtf_coupling.h"
 #include "federation/wfms_coupling.h"
+#include "in_flow.h"
 
 namespace fedflow::federation {
 namespace {
@@ -85,16 +86,21 @@ struct Harness {
   fdbs::Database db_java;
   Controller controller{&systems, &model};
   wfms::Engine engine;
-  UdtfCoupling udtf{&db, &systems, &controller, &model, &state};
-  WfmsCoupling wfms{&db_wfms, &engine, &systems, &controller, &model, &state};
-  UdtfCoupling udtf_for_java{&db_java, &systems, &controller, &model, &state};
-  JavaUdtfCoupling java{&db_java, &systems, &model, &state};
+  UdtfCoupling udtf{&db, &systems, &model};
+  WfmsCoupling wfms{&db_wfms, &engine, &systems, &model};
+  UdtfCoupling udtf_for_java{&db_java, &systems, &model};
+  JavaUdtfCoupling java{&db_java, &systems, &model};
 
   Harness() {
     (void)systems.Add(std::make_shared<PropSystem>());
     controller.Start();
     (void)udtf.RegisterAccessUdtfs();
     (void)udtf_for_java.RegisterAccessUdtfs();
+  }
+
+  /// Runs `sql` on `on` in a flow on the harness controller and ledger.
+  Result<Table> Execute(fdbs::Database& on, const std::string& sql) {
+    return ExecuteInFlow(on, &controller, &state, sql);
   }
 };
 
@@ -237,7 +243,7 @@ TEST_P(EquivalencePropertyTest, BothArchitecturesMatchTheOracle) {
     // Note: the WfMS wrapper shadows nothing here because both couplings
     // registered the same name in the same catalog would collide; the UDTF
     // coupling registered first, so query it, then run the process directly.
-    auto via_udtf = harness.db.Execute(call_sql);
+    auto via_udtf = harness.Execute(harness.db, call_sql);
     ASSERT_TRUE(via_udtf.ok()) << spec.name << ": " << via_udtf.status();
     EXPECT_TRUE(Table::SameRowsAnyOrder(*via_udtf, *oracle))
         << spec.name << "\nUDTF:\n"
@@ -260,7 +266,7 @@ TEST_P(EquivalencePropertyTest, BothArchitecturesMatchTheOracle) {
         << oracle->ToString();
 
     // Java UDTF path (the procedural third architecture).
-    auto via_java = harness.db_java.Execute(call_sql);
+    auto via_java = harness.Execute(harness.db_java, call_sql);
     ASSERT_TRUE(via_java.ok()) << spec.name << ": " << via_java.status();
     EXPECT_TRUE(Table::SameRowsAnyOrder(*via_java, *oracle))
         << spec.name << "\nJava:\n"
@@ -297,9 +303,10 @@ TEST_P(JoinPropertyTest, JoinSpecsAgreeAcrossArchitectures) {
     int x = static_cast<int32_t>(rng.Uniform(-10, 10));
     int y = static_cast<int32_t>(rng.Uniform(-10, 10));
     std::vector<Value> args = {Value::Int(x), Value::Int(y)};
-    auto via_udtf = harness.db.Execute(
-        "SELECT * FROM TABLE (" + spec.name + "(" + std::to_string(x) + ", " +
-        std::to_string(y) + ")) AS R");
+    auto via_udtf = harness.Execute(
+        harness.db, "SELECT * FROM TABLE (" + spec.name + "(" +
+                        std::to_string(x) + ", " + std::to_string(y) +
+                        ")) AS R");
     ASSERT_TRUE(via_udtf.ok()) << via_udtf.status();
     auto process_result =
         harness.engine.Run(spec.name, args, harness.wfms.wrapper()->invoker());

@@ -8,6 +8,7 @@
 #include "appsys/stockkeeping.h"
 #include "federation/sample_scenario.h"
 #include "federation/udtf_coupling.h"
+#include "in_flow.h"
 
 namespace fedflow::federation {
 namespace {
@@ -17,12 +18,17 @@ class PsmCouplingTest : public ::testing::Test {
   PsmCouplingTest()
       : scenario_(appsys::GenerateScenario({})),
         controller_(&systems_, &model_),
-        udtf_(&db_, &systems_, &controller_, &model_, &state_) {
+        udtf_(&db_, &systems_, &model_) {
     (void)systems_.Add(std::make_shared<appsys::StockKeepingSystem>(scenario_));
     (void)systems_.Add(std::make_shared<appsys::PurchasingSystem>(scenario_));
     (void)systems_.Add(std::make_shared<appsys::PdmSystem>(scenario_));
     controller_.Start();
     EXPECT_TRUE(udtf_.RegisterAccessUdtfs().ok());
+  }
+
+  /// Runs `sql` in a flow on the fixture's controller and ledger.
+  Result<Table> Execute(const std::string& sql) {
+    return ExecuteInFlow(db_, &controller_, &state_, sql);
   }
 
   appsys::Scenario scenario_;
@@ -44,7 +50,7 @@ TEST_F(PsmCouplingTest, GeneratedPsmForCyclicSpecParsesAndRuns) {
   EXPECT_NE(sql->find("EMIT SELECT"), std::string::npos);
 
   ASSERT_TRUE(udtf_.RegisterPsmProcedure(AllCompNamesSpec()).ok());
-  auto result = db_.Execute("CALL AllCompNames(5)");
+  auto result = Execute("CALL AllCompNames(5)");
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->num_rows(), 5u);
   EXPECT_EQ(result->rows()[0][0].AsVarchar(), "comp_1");
@@ -56,7 +62,7 @@ TEST_F(PsmCouplingTest, PsmProcedureNotReferencableInFrom) {
   // The paper: "a user is not able to reference a stored procedure ... in a
   // select statement. Hence, such a mechanism cannot be combined with
   // references to other federated functions or tables."
-  auto r = db_.Execute(
+  auto r = Execute(
       "SELECT * FROM TABLE (AllCompNames(3)) AS A");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
@@ -69,7 +75,7 @@ TEST_F(PsmCouplingTest, NonCyclicSpecCompilesToReturnSelect) {
   EXPECT_EQ(sql->find("WHILE"), std::string::npos);
 
   ASSERT_TRUE(udtf_.RegisterPsmProcedure(GetSuppQualSpec()).ok());
-  auto result = db_.Execute("CALL GetSuppQual('Stark')");
+  auto result = Execute("CALL GetSuppQual('Stark')");
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->num_rows(), 1u);
   EXPECT_EQ(result->rows()[0][0].AsInt(), 9);
@@ -80,9 +86,9 @@ TEST_F(PsmCouplingTest, PsmAgreesWithIUdtfOnSharedCases) {
   // Procedures and functions live in different namespaces, so the same
   // federated function can exist in both shapes.
   ASSERT_TRUE(udtf_.RegisterPsmProcedure(BuySuppCompSpec()).ok());
-  auto via_function = db_.Execute(
+  auto via_function = Execute(
       "SELECT * FROM TABLE (BuySuppComp(1234, 'brakepad')) AS B");
-  auto via_call = db_.Execute("CALL BuySuppComp(1234, 'brakepad')");
+  auto via_call = Execute("CALL BuySuppComp(1234, 'brakepad')");
   ASSERT_TRUE(via_function.ok()) << via_function.status();
   ASSERT_TRUE(via_call.ok()) << via_call.status();
   ASSERT_EQ(via_call->num_rows(), 1u);
@@ -104,7 +110,7 @@ TEST_F(PsmCouplingTest, PsmLoopAgreesWithWfmsLoop) {
   ASSERT_TRUE(wfms.ok());
   auto via_wfms = (*wfms)->CallFederated("AllCompNames", {Value::Int(7)});
   ASSERT_TRUE(via_wfms.ok());
-  auto via_psm = db_.Execute("CALL AllCompNames(7)");
+  auto via_psm = Execute("CALL AllCompNames(7)");
   ASSERT_TRUE(via_psm.ok());
   EXPECT_TRUE(Table::SameRowsAnyOrder(via_wfms->table, *via_psm));
 }

@@ -1,6 +1,12 @@
 // IntegrationServer facade behavior across the three architectures.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "federation/sample_scenario.h"
 
 namespace fedflow::federation {
@@ -114,6 +120,112 @@ TEST(ServerTest, UnknownInputsDivergenceDocumented) {
   auto w = (*wfms)->CallFederated("GetSuppQual", {Value::Varchar("Ghost")});
   EXPECT_FALSE(w.ok());
 }
+
+// --- every coupling requires a flow ------------------------------------------
+
+struct MissingFlowCase {
+  const char* coupling;
+  Architecture arch;
+  const char* sql;
+};
+
+class MissingFlowTest : public ::testing::TestWithParam<MissingFlowCase> {};
+
+TEST_P(MissingFlowTest, CallWithoutFlowFailsInsteadOfUsingPinnedController) {
+  auto server = MakeSampleServer(GetParam().arch);
+  ASSERT_TRUE(server.ok()) << server.status();
+  const int64_t dispatches = (*server)->controller().dispatch_count();
+  // Straight into the FDBS, past every server entry point: no flow.
+  auto r = (*server)->database().Execute(GetParam().sql);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("no flow"), std::string::npos)
+      << r.status();
+  // Nothing ran on the pinned controller or warmed its ledger.
+  EXPECT_EQ((*server)->controller().dispatch_count(), dispatches);
+  EXPECT_FALSE((*server)->state().infrastructure_warm());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Couplings, MissingFlowTest,
+    ::testing::Values(
+        MissingFlowCase{"AUdtf", Architecture::kUdtf,
+                        "SELECT * FROM TABLE (GetQuality(1234)) AS Q"},
+        MissingFlowCase{"SqlIUdtf", Architecture::kUdtf,
+                        "SELECT * FROM TABLE (GetSuppQual('Stark')) AS R"},
+        MissingFlowCase{"JavaIUdtf", Architecture::kJavaUdtf,
+                        "SELECT * FROM TABLE (GetSuppQual('Stark')) AS R"},
+        MissingFlowCase{"WfmsWrapper", Architecture::kWfms,
+                        "SELECT * FROM TABLE (GetSuppQual('Stark')) AS R"}),
+    [](const ::testing::TestParamInfo<MissingFlowCase>& info) {
+      return std::string(info.param.coupling);
+    });
+
+// --- CallFederatedFor is Checkout + CallFederatedOnLease ----------------------
+
+/// The call.* counters, global and tenant-scoped.
+std::map<std::string, uint64_t> CallCounters(const obs::MetricsRegistry& m) {
+  std::map<std::string, uint64_t> out;
+  for (const auto& [name, value] : m.Counters()) {
+    if (name.find("call.") != std::string::npos) out[name] = value;
+  }
+  return out;
+}
+
+using FoldParam = std::tuple<Architecture, bool>;  // (arch, caching)
+
+class LeaseFoldTest : public ::testing::TestWithParam<FoldParam> {};
+
+std::string FoldName(const ::testing::TestParamInfo<FoldParam>& info) {
+  static const char* kArch[] = {"Wfms", "Udtf", "Java"};
+  return std::string(kArch[static_cast<int>(std::get<0>(info.param))]) +
+         (std::get<1>(info.param) ? "Cached" : "Uncached");
+}
+
+TEST_P(LeaseFoldTest, CallFederatedForMatchesCheckoutPlusCallOnLease) {
+  const auto [arch, caching] = GetParam();
+  auto per_call = MakeSampleServer(arch);
+  auto on_lease = MakeSampleServer(arch);
+  ASSERT_TRUE(per_call.ok() && on_lease.ok());
+  (*per_call)->set_caching_enabled(caching);
+  (*on_lease)->set_caching_enabled(caching);
+  // Cold (first call after boot), warm (another function), hot, and hot
+  // again — served from the whole-call cache when caching is on.
+  const std::vector<std::pair<std::string, std::vector<Value>>> calls = {
+      {"GetSuppQual", {Value::Varchar("Stark")}},
+      {"GetSuppQualRelia", {Value::Int(1234)}},
+      {"GetSuppQualRelia", {Value::Int(1234)}},
+      {"GetSuppQualRelia", {Value::Int(1234)}},
+  };
+  const sim::SystemState::Warmth expected[] = {
+      sim::SystemState::Warmth::kCold, sim::SystemState::Warmth::kWarm,
+      sim::SystemState::Warmth::kHot, sim::SystemState::Warmth::kHot};
+  for (size_t i = 0; i < calls.size(); ++i) {
+    const auto& [name, args] = calls[i];
+    auto a = (*per_call)->CallFederatedFor("alice", name, args);
+    auto lease = (*on_lease)->controller_pool().Checkout("alice", name);
+    ASSERT_TRUE(lease.ok()) << lease.status();
+    auto b = (*on_lease)->CallFederatedOnLease(*lease, "alice", name, args);
+    ASSERT_TRUE(a.ok()) << name << ": " << a.status();
+    ASSERT_TRUE(b.ok()) << name << ": " << b.status();
+    EXPECT_TRUE(a->table == b->table) << name;
+    EXPECT_EQ(a->elapsed_us, b->elapsed_us) << name;
+    EXPECT_EQ(a->breakdown.entries(), b->breakdown.entries()) << name;
+    EXPECT_EQ(a->warmth, expected[i]) << name;
+    EXPECT_EQ(b->warmth, expected[i]) << name;
+  }
+  EXPECT_EQ(CallCounters((*per_call)->metrics()),
+            CallCounters((*on_lease)->metrics()));
+  EXPECT_EQ(CallCounters((*per_call)->metrics()).at("call.count"),
+            calls.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllArchitectures, LeaseFoldTest,
+    ::testing::Combine(::testing::Values(Architecture::kWfms,
+                                         Architecture::kUdtf,
+                                         Architecture::kJavaUdtf),
+                       ::testing::Bool()),
+    FoldName);
 
 }  // namespace
 }  // namespace fedflow::federation

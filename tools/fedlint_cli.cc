@@ -25,7 +25,6 @@
 #include "federation/udtf_coupling.h"
 #include "federation/wfms_coupling.h"
 #include "sim/latency.h"
-#include "sim/system_state.h"
 #include "wfms/engine.h"
 
 namespace fedflow::tools {
@@ -357,13 +356,10 @@ int RunSample(const CliOptions& options, std::string* output) {
 
   // Infrastructure the couplings compile against (nothing is executed).
   sim::LatencyModel model;
-  sim::SystemState state;
   fdbs::Database db;
-  federation::Controller controller(&*systems, &model);
   wfms::Engine engine{wfms::EngineOptions{}};
-  federation::WfmsCoupling wfms(&db, &engine, &*systems, &controller, &model,
-                                &state);
-  federation::UdtfCoupling udtf(&db, &*systems, &controller, &model, &state);
+  federation::WfmsCoupling wfms(&db, &engine, &*systems, &model);
+  federation::UdtfCoupling udtf(&db, &*systems, &model);
   UdtfLookup lookup = MakeLookup(*systems);
 
   std::vector<Diagnostic> diags;

@@ -11,8 +11,8 @@
 //                                 optimizer's parallelize pass recovers from)
 //
 // Exit 0 when every requested plan compiled; non-zero otherwise. The
-// default output is pinned by tools/golden/fedplan_sample.txt (CI
-// fedplan-smoke job).
+// default output is pinned by tools/golden/fedplan_sample.txt (CI release
+// job).
 #include <cstdio>
 #include <string>
 #include <vector>
