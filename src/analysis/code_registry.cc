@@ -40,47 +40,6 @@ std::vector<CodeInfo> BuildRegistry() {
       {"FF053", kWarn, "spec-loop-param-not-integer", "loop count parameter is not an integer"},
       // Classification consistency (FF070..FF099).
       {"FF070", kErr, "spec-classification-inconsistent", "spec-level and plan-level classifiers disagree"},
-      // Workflow errors (FF100..FF149).
-      {"FF100", kErr, "wf-no-name", "process has no name"},
-      {"FF101", kErr, "wf-no-activities", "process declares no activities"},
-      {"FF102", kErr, "wf-duplicate-activity", "duplicate activity name"},
-      {"FF103", kErr, "wf-unknown-output-activity", "process output references an unknown activity"},
-      {"FF104", kErr, "wf-unknown-connector-endpoint", "control connector references an unknown activity"},
-      {"FF105", kErr, "wf-self-loop-connector", "control connector loops an activity onto itself"},
-      {"FF106", kErr, "wf-control-cycle", "control connectors form a cycle"},
-      {"FF107", kErr, "wf-program-incomplete", "program activity misses system or function"},
-      {"FF108", kErr, "wf-unknown-system", "program activity targets an unregistered system"},
-      {"FF109", kErr, "wf-unknown-function", "program activity targets a function the system does not export"},
-      {"FF110", kErr, "wf-input-arity-mismatch", "activity input count differs from the signature"},
-      {"FF111", kErr, "wf-input-type-mismatch", "activity input type cannot satisfy the signature"},
-      {"FF112", kErr, "wf-unknown-process-input", "activity consumes an undeclared process input"},
-      {"FF113", kErr, "wf-source-cannot-precede", "data connector source cannot run before its sink"},
-      {"FF114", kErr, "wf-helper-unnamed", "helper activity has no helper function"},
-      {"FF115", kErr, "wf-block-without-sub", "block activity has no sub-process"},
-      {"FF116", kErr, "wf-block-arity-mismatch", "block input count differs from its sub-process"},
-      {"FF117", kErr, "wf-bad-max-iterations", "block declares a non-positive iteration bound"},
-      {"FF118", kErr, "wf-self-input", "activity consumes its own output"},
-      {"FF119", kErr, "wf-source-unknown-column", "data connector selects a column the source lacks"},
-      {"FF120", kErr, "wf-source-unknown-activity", "data connector references an unknown activity"},
-      // Workflow warnings (FF150..FF199).
-      {"FF150", kWarn, "wf-dead-activity", "activity result is never consumed"},
-      {"FF151", kWarn, "wf-constant-false-condition", "transition condition is constantly false"},
-      {"FF152", kWarn, "wf-contradictory-fork", "fork conditions cannot all be satisfied"},
-      {"FF153", kWarn, "wf-unused-process-input", "process input is never consumed"},
-      // SQL errors (FF200..FF249).
-      {"FF200", kErr, "sql-parse-error", "generated I-UDTF SQL does not parse"},
-      {"FF201", kErr, "sql-not-create-function", "statement is not CREATE FUNCTION"},
-      {"FF202", kErr, "sql-unknown-table-function", "body references an unregistered table function"},
-      {"FF203", kErr, "sql-lateral-forward-ref", "lateral reference points at a later FROM item"},
-      {"FF204", kErr, "sql-lateral-unknown-column", "lateral reference selects a column the item lacks"},
-      {"FF205", kErr, "sql-unknown-ref", "body references an unknown column or alias"},
-      {"FF206", kErr, "sql-duplicate-alias", "duplicate correlation alias"},
-      {"FF207", kErr, "sql-returns-arity-mismatch", "RETURNS arity differs from the SELECT list"},
-      {"FF208", kErr, "sql-unknown-param", "body references an undeclared function parameter"},
-      {"FF209", kErr, "sql-arg-arity-mismatch", "table-function call arity differs from its signature"},
-      // SQL warnings (FF250..FF299).
-      {"FF250", kWarn, "sql-return-type-mismatch", "RETURNS column type differs from the SELECT list"},
-      {"FF251", kWarn, "sql-arg-type-mismatch", "table-function argument type differs from its signature"},
       // Plan consistency errors (FF300..FF309).
       {"FF300", kErr, "plan-call-set-mismatch", "lowering calls a different set of local functions than the plan"},
       {"FF301", kErr, "plan-ordering-violation", "lowering violates the plan's dependency order"},
@@ -127,8 +86,8 @@ const std::vector<CodeInfo>& AllDiagnosticCodes() {
 const std::vector<CodeBand>& DiagnosticCodeBands() {
   static const std::vector<CodeBand>* kBands = new std::vector<CodeBand>{
       {1, 99, "spec"},
-      {100, 199, "workflow"},
-      {200, 299, "sql"},
+      // Numbers of the deleted workflow and I-UDTF SQL linters; never reused.
+      {100, 299, "retired"},
       {300, 349, "plan"},
       {400, 449, "dataflow"},
       {450, 459, "saga"},

@@ -22,11 +22,12 @@ struct CodeInfo {
 };
 
 /// One contiguous code band and the pass that owns it. (Bands scope passes,
-/// not severities — the dataflow bands carry both errors and warnings.)
+/// not severities — the dataflow bands carry both errors and warnings.) A
+/// "retired" band owns no codes; its numbers are never reused.
 struct CodeBand {
   int lo = 0;            ///< inclusive numeric code
   int hi = 0;            ///< inclusive numeric code
-  std::string pass;      ///< "spec" / "workflow" / "sql" / "plan" / "dataflow"
+  std::string pass;      ///< "spec" / "plan" / "dataflow" / "saga" / "retired"
 };
 
 /// Every code any fedlint pass can emit, ordered by numeric code.

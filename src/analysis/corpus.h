@@ -28,8 +28,8 @@ struct CorpusEntry {
 /// diagnostic; entries are ordered by code.
 std::vector<CorpusEntry> MalformedSpecCorpus();
 
-/// One semantic corpus entry: a spec that passes every shape pass (spec lint
-/// is error-free) yet must be rejected by the dataflow pass under the given
+/// One semantic corpus entry: a spec that passes the spec pass (spec lint is
+/// error-free) yet must be rejected by the dataflow pass under the given
 /// deployment facts. The knobs mirror DataflowOptions so the CLI and the
 /// registration gate can reproduce the exact analysis configuration.
 struct SemanticCorpusEntry {
@@ -47,8 +47,8 @@ struct SemanticCorpusEntry {
 
 /// Semantically broken but syntactically clean specs, one per dataflow
 /// diagnostic family with a deterministic trigger. Every entry lints clean
-/// through passes 1-4 and produces at least the expected FF4xx error from
-/// the dataflow pass; entries are ordered by code.
+/// through pass 1 (spec lint) and produces at least the expected FF4xx
+/// error from the dataflow pass (pass 3); entries are ordered by code.
 std::vector<SemanticCorpusEntry> SemanticSpecCorpus();
 
 }  // namespace fedflow::analysis

@@ -1,5 +1,5 @@
-// fedlint pass 5: semantic dataflow analyses over the FedPlan IR (FF400s).
-// Where passes 1-4 check shape, these prove facts: inferred column types and
+// fedlint pass 3: semantic dataflow analyses over the FedPlan IR (FF400s).
+// Where passes 1-2 check shape, these prove facts: inferred column types and
 // cast feasibility (schema analysis), interval bounds on rows and per-node
 // invocation counts under each lowering (cardinality analysis), modeled
 // critical-path cost against a deadline and retry-schedule feasibility

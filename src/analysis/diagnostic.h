@@ -1,5 +1,5 @@
-// Structured diagnostics for fedlint, the static verification pass over
-// federated-function specs, workflow models and generated I-UDTF SQL. A
+// Structured diagnostics for fedlint, the static verification passes over
+// federated-function specs and the plan IR they compile to. A
 // Diagnostic pinpoints one defect with a stable code (FF###), a location path
 // ("spec:BuySuppComp/node:CheckStock/arg:2") and a human-readable message, so
 // defects are testable artifacts instead of free-text runtime errors.
@@ -26,8 +26,7 @@ const char* SeverityName(Severity severity);
 /// Code ranges (stable, append-only):
 ///   FF001..FF049  spec errors          FF050..FF069  spec warnings
 ///   FF070..FF099  classification consistency
-///   FF100..FF149  workflow errors      FF150..FF199  workflow warnings
-///   FF200..FF249  I-UDTF SQL errors    FF250..FF299  I-UDTF SQL warnings
+///   FF100..FF299  retired (the workflow and I-UDTF SQL linters); never reused
 ///   FF300..FF349  plan consistency (lowering agreement with the plan IR)
 ///   FF400..FF449  dataflow abstract interpretation (schema FF400..FF409,
 ///                 cardinality FF410..FF419, budget FF420..FF429,

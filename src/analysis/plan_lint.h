@@ -1,4 +1,4 @@
-// fedlint pass 4: plan-consistency checks. Compiles a spec into the plan IR
+// fedlint pass 2: plan-consistency checks. Compiles a spec into the plan IR
 // (plan/fed_plan.h), runs the requested optimizer passes, and verifies that
 // the per-architecture lowerings agree with the plan — same multiset of
 // local-function calls, every ordering constraint honored (lateral position

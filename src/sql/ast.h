@@ -15,6 +15,7 @@
 #ifndef FEDFLOW_SQL_AST_H_
 #define FEDFLOW_SQL_AST_H_
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -77,11 +78,22 @@ class Expr {
   virtual ~Expr() = default;
   ExprKind kind() const { return kind_; }
 
+  /// Levels of the tree rooted here (a leaf is 1). Evaluation, rendering
+  /// and destruction recurse this deep; the parser bounds it.
+  int height() const { return height_; }
+
   /// Renders the expression back to SQL text.
   virtual std::string ToSql() const = 0;
 
+ protected:
+  /// Raises height() above `child` (null children are ignored).
+  void RaiseAbove(const ExprPtr& child) {
+    if (child != nullptr) height_ = std::max(height_, child->height_ + 1);
+  }
+
  private:
   ExprKind kind_;
+  int height_ = 1;
 };
 
 /// A constant.
@@ -122,7 +134,9 @@ class FunctionCallExpr : public Expr {
       : Expr(ExprKind::kFunctionCall),
         name_(std::move(name)),
         args_(std::move(args)),
-        star_arg_(star_arg) {}
+        star_arg_(star_arg) {
+    for (const ExprPtr& arg : args_) RaiseAbove(arg);
+  }
   const std::string& name() const { return name_; }
   const std::vector<ExprPtr>& args() const { return args_; }
   bool star_arg() const { return star_arg_; }
@@ -141,7 +155,10 @@ class BinaryExpr : public Expr {
       : Expr(ExprKind::kBinary),
         op_(op),
         left_(std::move(left)),
-        right_(std::move(right)) {}
+        right_(std::move(right)) {
+    RaiseAbove(left_);
+    RaiseAbove(right_);
+  }
   BinaryOp op() const { return op_; }
   const ExprPtr& left() const { return left_; }
   const ExprPtr& right() const { return right_; }
@@ -157,7 +174,9 @@ class BinaryExpr : public Expr {
 class UnaryExpr : public Expr {
  public:
   UnaryExpr(UnaryOp op, ExprPtr operand)
-      : Expr(ExprKind::kUnary), op_(op), operand_(std::move(operand)) {}
+      : Expr(ExprKind::kUnary), op_(op), operand_(std::move(operand)) {
+    RaiseAbove(operand_);
+  }
   UnaryOp op() const { return op_; }
   const ExprPtr& operand() const { return operand_; }
   std::string ToSql() const override;
@@ -178,7 +197,13 @@ class CaseExpr : public Expr {
   CaseExpr(std::vector<Branch> branches, ExprPtr else_value)
       : Expr(ExprKind::kCase),
         branches_(std::move(branches)),
-        else_value_(std::move(else_value)) {}
+        else_value_(std::move(else_value)) {
+    for (const Branch& b : branches_) {
+      RaiseAbove(b.condition);
+      RaiseAbove(b.value);
+    }
+    RaiseAbove(else_value_);
+  }
   const std::vector<Branch>& branches() const { return branches_; }
   /// Null when no ELSE was given (yields NULL).
   const ExprPtr& else_value() const { return else_value_; }

@@ -1,7 +1,9 @@
 #include "sql/parser.h"
 
 #include <cstdlib>
+#include <initializer_list>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -11,6 +13,14 @@
 namespace fedflow::sql {
 
 namespace {
+
+/// The deepest nesting the parser accepts. It bounds both the open recursive
+/// descents (parenthesized and argument sub-expressions, NOT and unary-minus
+/// operands, PSM IF/WHILE bodies) and the height of every expression tree it
+/// builds, so a left-deep `1+1+...` chain counts one level per link. Deeper
+/// input is rejected with InvalidArgument before it can exhaust the stack,
+/// here or wherever the tree is later evaluated, rendered or destroyed.
+constexpr int kMaxNesting = 256;
 
 template <typename T, typename... Args>
 ExprPtr MakeExpr(Args&&... args) {
@@ -198,6 +208,21 @@ class Parser {
   template <typename T = Statement>
   Result<T> Error(const std::string& msg) const {
     return ErrorStatus(msg);
+  }
+
+  Status NestingError() const {
+    return ErrorStatus("nesting deeper than " + std::to_string(kMaxNesting) +
+                       " levels");
+  }
+
+  /// Runs `parse` one nesting level deeper.
+  template <typename F>
+  auto Nested(F parse) -> decltype(parse()) {
+    if (depth_ >= kMaxNesting) return NestingError();
+    ++depth_;
+    auto result = parse();
+    --depth_;
+    return result;
   }
 
   static bool IsReserved(const std::string& word) {
@@ -456,9 +481,11 @@ class Parser {
       stmt.kind = PsmStatement::Kind::kIf;
       FEDFLOW_ASSIGN_OR_RETURN(stmt.expr, ParseExpr());
       FEDFLOW_RETURN_NOT_OK(ExpectKeyword("THEN"));
-      FEDFLOW_ASSIGN_OR_RETURN(stmt.then_branch, ParsePsmStatements());
+      FEDFLOW_ASSIGN_OR_RETURN(stmt.then_branch,
+                               Nested([this] { return ParsePsmStatements(); }));
       if (ConsumeKeyword("ELSE")) {
-        FEDFLOW_ASSIGN_OR_RETURN(stmt.else_branch, ParsePsmStatements());
+        FEDFLOW_ASSIGN_OR_RETURN(
+            stmt.else_branch, Nested([this] { return ParsePsmStatements(); }));
       }
       FEDFLOW_RETURN_NOT_OK(ExpectKeyword("END"));
       FEDFLOW_RETURN_NOT_OK(ExpectKeyword("IF"));
@@ -469,7 +496,8 @@ class Parser {
       stmt.kind = PsmStatement::Kind::kWhile;
       FEDFLOW_ASSIGN_OR_RETURN(stmt.expr, ParseExpr());
       FEDFLOW_RETURN_NOT_OK(ExpectKeyword("DO"));
-      FEDFLOW_ASSIGN_OR_RETURN(stmt.then_branch, ParsePsmStatements());
+      FEDFLOW_ASSIGN_OR_RETURN(stmt.then_branch,
+                               Nested([this] { return ParsePsmStatements(); }));
       FEDFLOW_RETURN_NOT_OK(ExpectKeyword("END"));
       FEDFLOW_RETURN_NOT_OK(ExpectKeyword("WHILE"));
       FEDFLOW_RETURN_NOT_OK(ExpectSymbol(";"));
@@ -494,31 +522,55 @@ class Parser {
   }
 
   // --- expressions, by precedence -----------------------------------------
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  /// Every sub-expression enters here, one nesting level deeper; the tree it
+  /// returns is height-checked.
+  Result<ExprPtr> ParseExpr() {
+    Result<ExprPtr> e = Nested([this] { return ParseOr(); });
+    if (e.ok() && (*e)->height() > kMaxNesting) return NestingError();
+    return e;
+  }
+
+  /// One operator of a left-associative chain: a keyword or a symbol.
+  struct ChainOp {
+    const char* text;
+    bool keyword;
+    BinaryOp op;
+  };
+
+  /// Parses `operand (op operand)*` over `ops` into a left-deep tree. Each
+  /// link adds a level to the tree, so each link is bounded.
+  template <typename Operand>
+  Result<ExprPtr> ParseChain(Operand operand,
+                             std::initializer_list<ChainOp> ops) {
+    FEDFLOW_ASSIGN_OR_RETURN(ExprPtr left, operand());
+    while (true) {
+      const ChainOp* link = nullptr;
+      for (const ChainOp& o : ops) {
+        if (o.keyword ? PeekKeyword(o.text) : PeekSymbol(o.text)) link = &o;
+      }
+      if (link == nullptr) return left;
+      Advance();
+      FEDFLOW_ASSIGN_OR_RETURN(ExprPtr right, operand());
+      left = std::make_shared<BinaryExpr>(link->op, std::move(left),
+                                          std::move(right));
+      if (left->height() > kMaxNesting) return NestingError();
+    }
+  }
 
   Result<ExprPtr> ParseOr() {
-    FEDFLOW_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
-    while (ConsumeKeyword("OR")) {
-      FEDFLOW_ASSIGN_OR_RETURN(ExprPtr right, ParseAnd());
-      left = std::make_shared<BinaryExpr>(BinaryOp::kOr, std::move(left),
-                                          std::move(right));
-    }
-    return left;
+    return ParseChain([this] { return ParseAnd(); },
+                      {{"OR", true, BinaryOp::kOr}});
   }
 
   Result<ExprPtr> ParseAnd() {
-    FEDFLOW_ASSIGN_OR_RETURN(ExprPtr left, ParseNot());
-    while (ConsumeKeyword("AND")) {
-      FEDFLOW_ASSIGN_OR_RETURN(ExprPtr right, ParseNot());
-      left = std::make_shared<BinaryExpr>(BinaryOp::kAnd, std::move(left),
-                                          std::move(right));
-    }
-    return left;
+    return ParseChain([this] { return ParseNot(); },
+                      {{"AND", true, BinaryOp::kAnd}});
   }
 
   Result<ExprPtr> ParseNot() {
     if (ConsumeKeyword("NOT")) {
-      FEDFLOW_ASSIGN_OR_RETURN(ExprPtr inner, ParseNot());
+      FEDFLOW_ASSIGN_OR_RETURN(ExprPtr inner,
+                               Nested([this] { return ParseNot(); }));
       return MakeExpr<UnaryExpr>(UnaryOp::kNot, std::move(inner));
     }
     return ParseComparison();
@@ -555,6 +607,7 @@ class Parser {
                       ? std::move(eq)
                       : std::make_shared<BinaryExpr>(
                             BinaryOp::kOr, std::move(chain), std::move(eq));
+          if (chain->height() > kMaxNesting) return NestingError();
           if (!ConsumeSymbol(",")) break;
         }
         FEDFLOW_RETURN_NOT_OK(ExpectSymbol(")"));
@@ -609,50 +662,23 @@ class Parser {
   }
 
   Result<ExprPtr> ParseAdditive() {
-    FEDFLOW_ASSIGN_OR_RETURN(ExprPtr left, ParseMultiplicative());
-    while (true) {
-      BinaryOp op;
-      if (PeekSymbol("+")) {
-        op = BinaryOp::kAdd;
-      } else if (PeekSymbol("-")) {
-        op = BinaryOp::kSub;
-      } else if (PeekSymbol("||")) {
-        op = BinaryOp::kConcat;
-      } else {
-        break;
-      }
-      Advance();
-      FEDFLOW_ASSIGN_OR_RETURN(ExprPtr right, ParseMultiplicative());
-      left = std::make_shared<BinaryExpr>(op, std::move(left),
-                                          std::move(right));
-    }
-    return left;
+    return ParseChain([this] { return ParseMultiplicative(); },
+                      {{"+", false, BinaryOp::kAdd},
+                       {"-", false, BinaryOp::kSub},
+                       {"||", false, BinaryOp::kConcat}});
   }
 
   Result<ExprPtr> ParseMultiplicative() {
-    FEDFLOW_ASSIGN_OR_RETURN(ExprPtr left, ParseUnary());
-    while (true) {
-      BinaryOp op;
-      if (PeekSymbol("*")) {
-        op = BinaryOp::kMul;
-      } else if (PeekSymbol("/")) {
-        op = BinaryOp::kDiv;
-      } else if (PeekSymbol("%")) {
-        op = BinaryOp::kMod;
-      } else {
-        break;
-      }
-      Advance();
-      FEDFLOW_ASSIGN_OR_RETURN(ExprPtr right, ParseUnary());
-      left = std::make_shared<BinaryExpr>(op, std::move(left),
-                                          std::move(right));
-    }
-    return left;
+    return ParseChain([this] { return ParseUnary(); },
+                      {{"*", false, BinaryOp::kMul},
+                       {"/", false, BinaryOp::kDiv},
+                       {"%", false, BinaryOp::kMod}});
   }
 
   Result<ExprPtr> ParseUnary() {
     if (ConsumeSymbol("-")) {
-      FEDFLOW_ASSIGN_OR_RETURN(ExprPtr inner, ParseUnary());
+      FEDFLOW_ASSIGN_OR_RETURN(ExprPtr inner,
+                               Nested([this] { return ParseUnary(); }));
       return MakeExpr<UnaryExpr>(UnaryOp::kNeg, std::move(inner));
     }
     return ParsePrimary();
@@ -767,6 +793,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< open Nested() levels
 };
 
 }  // namespace

@@ -12,8 +12,6 @@
 #include "analysis/diagnostic.h"
 #include "analysis/plan_lint.h"
 #include "analysis/spec_lint.h"
-#include "analysis/sql_lint.h"
-#include "analysis/workflow_lint.h"
 #include "appsys/dataset.h"
 #include "appsys/pdm.h"
 #include "appsys/purchasing.h"
@@ -21,18 +19,11 @@
 #include "appsys/stockkeeping.h"
 #include "federation/integration_server.h"
 #include "federation/sample_scenario.h"
-#include "sql/parser.h"
-#include "wfms/model.h"
 
 namespace fedflow::analysis {
 namespace {
 
 using federation::FederatedFunctionSpec;
-using wfms::ActivityDef;
-using wfms::ActivityKind;
-using wfms::ControlConnector;
-using wfms::InputSource;
-using wfms::ProcessDefinition;
 
 appsys::AppSystemRegistry MakeRegistry() {
   appsys::Scenario scenario = appsys::GenerateScenario({});
@@ -43,12 +34,6 @@ appsys::AppSystemRegistry MakeRegistry() {
       systems.Add(std::make_shared<appsys::PurchasingSystem>(scenario)).ok());
   EXPECT_TRUE(systems.Add(std::make_shared<appsys::PdmSystem>(scenario)).ok());
   return systems;
-}
-
-sql::ExprPtr Cond(const std::string& text) {
-  auto parsed = sql::ParseExpression(text);
-  EXPECT_TRUE(parsed.ok()) << parsed.status();
-  return std::move(*parsed);
 }
 
 bool HasFinding(const std::vector<Diagnostic>& diags, const std::string& code,
@@ -112,197 +97,6 @@ TEST(SpecLintGoldenTest, ErrorSeverityDecidesRegistrability) {
     bool is_warning_code = entry.expected_code[3] >= '5';
     EXPECT_EQ(HasErrors(diags), !is_warning_code) << entry.name;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Workflow pass: model-level defects with pinned codes and locations.
-
-/// A minimal two-activity process: A feeds B, B is the output activity.
-ProcessDefinition TwoStepProcess(bool with_connector) {
-  ProcessDefinition def;
-  def.name = "P";
-  def.input_params = {Column{"X", DataType::kInt}};
-  ActivityDef a;
-  a.name = "A";
-  a.kind = ActivityKind::kProgram;
-  a.system = "stock";
-  a.function = "GetQuality";
-  a.inputs.push_back(InputSource::FromProcessInput("X"));
-  ActivityDef b;
-  b.name = "B";
-  b.kind = ActivityKind::kProgram;
-  b.system = "stock";
-  b.function = "GetQuality";
-  b.inputs.push_back(InputSource::FromActivity("A", "Qual"));
-  def.activities.push_back(std::move(a));
-  def.activities.push_back(std::move(b));
-  if (with_connector) {
-    def.connectors.push_back(ControlConnector{"A", "B", nullptr});
-  }
-  def.output_activity = "B";
-  return def;
-}
-
-TEST(WorkflowLintGoldenTest, SourceWithoutControlPathIsAnError) {
-  appsys::AppSystemRegistry systems = MakeRegistry();
-  // B reads A's output but no connector guarantees A ran first.
-  ProcessDefinition def = TwoStepProcess(/*with_connector=*/false);
-  std::vector<Diagnostic> diags = LintProcess(def, systems);
-  ASSERT_EQ(diags.size(), 1u) << Dump(diags);
-  EXPECT_EQ(diags[0].code, std::string(kWfSourceCannotPrecede));
-  EXPECT_EQ(diags[0].location, "process:P/activity:B/input:1");
-  EXPECT_EQ(diags[0].severity, Severity::kError);
-
-  // The connector fixes it.
-  ProcessDefinition fixed = TwoStepProcess(/*with_connector=*/true);
-  EXPECT_TRUE(LintProcess(fixed, systems).empty());
-}
-
-TEST(WorkflowLintGoldenTest, UnknownProcessInputIsAnError) {
-  appsys::AppSystemRegistry systems = MakeRegistry();
-  ProcessDefinition def = TwoStepProcess(/*with_connector=*/true);
-  def.activities[0].inputs[0] = InputSource::FromProcessInput("Missing");
-  std::vector<Diagnostic> diags = LintProcess(def, systems);
-  ASSERT_TRUE(HasFinding(diags, kWfUnknownProcessInput,
-                         "process:P/activity:A/input:1"))
-      << Dump(diags);
-}
-
-TEST(WorkflowLintGoldenTest, ContradictoryForkBeforeAndJoinWarns) {
-  appsys::AppSystemRegistry systems = MakeRegistry();
-  ProcessDefinition def;
-  def.name = "P";
-  def.input_params = {Column{"X", DataType::kInt}};
-  for (const char* name : {"S", "T1", "T2", "J"}) {
-    ActivityDef a;
-    a.name = name;
-    a.kind = ActivityKind::kProgram;
-    a.system = "stock";
-    a.function = "GetQuality";
-    a.inputs.push_back(InputSource::FromProcessInput("X"));
-    def.activities.push_back(std::move(a));
-  }
-  def.connectors.push_back(ControlConnector{"S", "T1", Cond("X > 0")});
-  def.connectors.push_back(ControlConnector{"S", "T2", Cond("X <= 0")});
-  def.connectors.push_back(ControlConnector{"T1", "J", nullptr});
-  def.connectors.push_back(ControlConnector{"T2", "J", nullptr});
-  def.output_activity = "J";  // J joins with the default AND semantics
-
-  std::vector<Diagnostic> diags = LintProcess(def, systems);
-  ASSERT_EQ(diags.size(), 1u) << Dump(diags);
-  EXPECT_EQ(diags[0].code, std::string(kWfContradictoryFork));
-  EXPECT_EQ(diags[0].location, "process:P/activity:J");
-  EXPECT_EQ(diags[0].severity, Severity::kWarning);
-}
-
-TEST(WorkflowLintGoldenTest, ConstantFalseConditionWarns) {
-  appsys::AppSystemRegistry systems = MakeRegistry();
-  ProcessDefinition def = TwoStepProcess(/*with_connector=*/true);
-  def.connectors[0].condition = Cond("1 = 2");
-  std::vector<Diagnostic> diags = LintProcess(def, systems);
-  ASSERT_TRUE(HasFinding(diags, kWfConstantFalseCondition,
-                         "process:P/connector:A->B"))
-      << Dump(diags);
-}
-
-TEST(WorkflowLintGoldenTest, DeadActivityWarns) {
-  appsys::AppSystemRegistry systems = MakeRegistry();
-  ProcessDefinition def = TwoStepProcess(/*with_connector=*/true);
-  // C runs concurrently but nothing consumes it and it never reaches B.
-  ActivityDef c;
-  c.name = "C";
-  c.kind = ActivityKind::kProgram;
-  c.system = "stock";
-  c.function = "GetQuality";
-  c.inputs.push_back(InputSource::FromProcessInput("X"));
-  def.activities.push_back(std::move(c));
-  std::vector<Diagnostic> diags = LintProcess(def, systems);
-  ASSERT_TRUE(HasFinding(diags, kWfDeadActivity, "process:P/activity:C"))
-      << Dump(diags);
-}
-
-// ---------------------------------------------------------------------------
-// SQL pass: lateral resolution over the generated I-UDTF shape.
-
-UdtfLookup TestLookup() {
-  return [](const std::string& name) -> std::optional<UdtfSignature> {
-    if (name == "GetSupplierNo") {
-      return UdtfSignature{{Column{"SupplierName", DataType::kVarchar}},
-                           Schema({Column{"SupplierNo", DataType::kInt}})};
-    }
-    if (name == "GetQuality") {
-      return UdtfSignature{{Column{"SupplierNo", DataType::kInt}},
-                           Schema({Column{"Qual", DataType::kInt}})};
-    }
-    return std::nullopt;
-  };
-}
-
-constexpr char kCleanSql[] =
-    "CREATE FUNCTION GetSuppQual (SupplierName VARCHAR)\n"
-    "RETURNS TABLE (Qual INT)\n"
-    "LANGUAGE SQL RETURN\n"
-    "SELECT GQ.Qual AS Qual\n"
-    "FROM TABLE (GetSupplierNo(GetSuppQual.SupplierName)) AS GSN,\n"
-    "     TABLE (GetQuality(GSN.SupplierNo)) AS GQ";
-
-TEST(SqlLintGoldenTest, WellFormedIUdtfIsClean) {
-  std::vector<Diagnostic> diags = LintIUdtfSql(kCleanSql, TestLookup());
-  EXPECT_TRUE(diags.empty()) << Dump(diags);
-}
-
-TEST(SqlLintGoldenTest, LateralForwardReferenceIsAnError) {
-  // GQ consumes GSN's output but is listed before it: lateral correlation
-  // only resolves left to right.
-  const char* sql =
-      "CREATE FUNCTION GetSuppQual (SupplierName VARCHAR)\n"
-      "RETURNS TABLE (Qual INT)\n"
-      "LANGUAGE SQL RETURN\n"
-      "SELECT GQ.Qual AS Qual\n"
-      "FROM TABLE (GetQuality(GSN.SupplierNo)) AS GQ,\n"
-      "     TABLE (GetSupplierNo(GetSuppQual.SupplierName)) AS GSN";
-  std::vector<Diagnostic> diags = LintIUdtfSql(sql, TestLookup());
-  ASSERT_TRUE(HasFinding(diags, kSqlLateralForwardRef,
-                         "function:GetSuppQual/from:GQ/arg:1"))
-      << Dump(diags);
-}
-
-TEST(SqlLintGoldenTest, UnknownTableFunctionIsAnError) {
-  const char* sql =
-      "CREATE FUNCTION F (SupplierName VARCHAR)\n"
-      "RETURNS TABLE (Qual INT)\n"
-      "LANGUAGE SQL RETURN\n"
-      "SELECT X.Qual AS Qual FROM TABLE (NoSuchUdtf(1)) AS X";
-  std::vector<Diagnostic> diags = LintIUdtfSql(sql, TestLookup());
-  ASSERT_TRUE(HasFinding(diags, kSqlUnknownTableFunction, "function:F/from:X"))
-      << Dump(diags);
-}
-
-TEST(SqlLintGoldenTest, UnknownLateralColumnIsAnError) {
-  const char* sql =
-      "CREATE FUNCTION GetSuppQual (SupplierName VARCHAR)\n"
-      "RETURNS TABLE (Qual INT)\n"
-      "LANGUAGE SQL RETURN\n"
-      "SELECT GQ.Qual AS Qual\n"
-      "FROM TABLE (GetSupplierNo(GetSuppQual.SupplierName)) AS GSN,\n"
-      "     TABLE (GetQuality(GSN.Nope)) AS GQ";
-  std::vector<Diagnostic> diags = LintIUdtfSql(sql, TestLookup());
-  ASSERT_TRUE(HasFinding(diags, kSqlLateralUnknownColumn,
-                         "function:GetSuppQual/from:GQ/arg:1"))
-      << Dump(diags);
-}
-
-TEST(SqlLintGoldenTest, UnknownParameterIsAnError) {
-  const char* sql =
-      "CREATE FUNCTION GetSuppQual (SupplierName VARCHAR)\n"
-      "RETURNS TABLE (SupplierNo INT)\n"
-      "LANGUAGE SQL RETURN\n"
-      "SELECT GSN.SupplierNo AS SupplierNo\n"
-      "FROM TABLE (GetSupplierNo(GetSuppQual.Oops)) AS GSN";
-  std::vector<Diagnostic> diags = LintIUdtfSql(sql, TestLookup());
-  ASSERT_TRUE(HasFinding(diags, kSqlUnknownParam,
-                         "function:GetSuppQual/from:GSN/arg:1"))
-      << Dump(diags);
 }
 
 // ---------------------------------------------------------------------------

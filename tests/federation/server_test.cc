@@ -40,6 +40,40 @@ TEST(ServerTest, QueryTimedOnPlainSqlChargesNothing) {
   EXPECT_EQ(timed->elapsed_us, 0);
 }
 
+std::string Repeat(const std::string& s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+TEST(ServerTest, DeeplyNestedQueryIsAnInvalidArgumentNotACrash) {
+  auto server = MakeSampleServer(Architecture::kUdtf);
+  ASSERT_TRUE(server.ok());
+  for (const std::string& expr :
+       {Repeat("(", 10000) + "1" + Repeat(")", 10000),
+        Repeat("NOT ", 100000) + "TRUE", Repeat("- ", 100000) + "1",
+        // Parses without deep recursion, but the tree is 100,000 levels tall.
+        "1" + Repeat("+1", 99999)}) {
+    auto r = (*server)->Query("SELECT " + expr + " AS v");
+    ASSERT_FALSE(r.ok()) << expr.substr(0, 40);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << r.status();
+  }
+}
+
+TEST(ServerTest, QueryExactlyAtTheNestingBoundEvaluates) {
+  auto server = MakeSampleServer(Architecture::kUdtf);
+  ASSERT_TRUE(server.ok());
+  for (const auto& [expr, want] : std::vector<std::pair<std::string, Value>>{
+           {Repeat("(", 255) + "7" + Repeat(")", 255), Value::Int(7)},
+           {Repeat("NOT ", 255) + "TRUE", Value::Bool(false)},
+           {Repeat("- ", 255) + "1", Value::Int(-1)},
+           {"1" + Repeat("+1", 255), Value::Int(256)}}) {
+    auto r = (*server)->Query("SELECT " + expr + " AS v");
+    ASSERT_TRUE(r.ok() && r->num_rows() == 1u) << expr.substr(0, 40);
+    EXPECT_EQ(r->rows()[0][0].ToString(), want.ToString());
+  }
+}
+
 TEST(ServerTest, CallFederatedQuotesStringArguments) {
   auto server = MakeSampleServer(Architecture::kUdtf);
   ASSERT_TRUE(server.ok());

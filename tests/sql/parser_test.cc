@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace fedflow::sql {
 namespace {
 
@@ -227,6 +229,75 @@ TEST(ExprTest, CountStar) {
 TEST(ExprTest, ConcatOperator) {
   ExprPtr e = MustExpr("'a' || 'b'");
   EXPECT_EQ(static_cast<const BinaryExpr&>(*e).op(), BinaryOp::kConcat);
+}
+
+// --- nesting bound: deep input is an InvalidArgument, never a crash ---------
+
+std::string Repeat(const std::string& s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+std::string Parens(int n) { return Repeat("(", n) + "1" + Repeat(")", n); }
+std::string Nots(int n) { return Repeat("NOT ", n) + "TRUE"; }
+std::string Minuses(int n) { return Repeat("- ", n) + "1"; }  // "--" comments
+std::string Chain(int terms) { return "1" + Repeat("+1", terms - 1); }
+std::string NestedIfs(int n) {
+  return "CREATE PROCEDURE p () BEGIN " + Repeat("IF TRUE THEN ", n) +
+         Repeat("END IF; ", n) + "END";
+}
+
+void ExpectTooDeep(const std::string& sql) {
+  Result<Statement> r = Parse(sql);
+  ASSERT_FALSE(r.ok()) << sql.substr(0, 60);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("nesting deeper than 256"),
+            std::string::npos)
+      << r.status();
+}
+
+TEST(NestingBoundTest, TenThousandNestedParentheses) {
+  ExpectTooDeep("SELECT " + Parens(10000));
+}
+
+TEST(NestingBoundTest, HundredThousandChainedNots) {
+  ExpectTooDeep("SELECT " + Nots(100000));
+}
+
+TEST(NestingBoundTest, HundredThousandUnaryMinuses) {
+  ExpectTooDeep("SELECT " + Minuses(100000));
+}
+
+TEST(NestingBoundTest, MillionTermChainCountsOneLevelPerLink) {
+  // No recursion while parsing, but the tree would be a million levels tall.
+  ExpectTooDeep("SELECT " + Chain(1000000));
+}
+
+TEST(NestingBoundTest, HundredThousandNestedIfBlocks) {
+  ExpectTooDeep(NestedIfs(100000));
+}
+
+TEST(NestingBoundTest, InListsAndNestedChainsCountTreeHeight) {
+  // IN (...) desugars to a left-deep OR chain, one level per item.
+  ExpectTooDeep("SELECT 1 IN (1" + Repeat(",1", 300) + ")");
+  // A 200-term chain as the first term of another: no chain and no descent
+  // is near the bound, but the tree would be 399 levels tall.
+  ExpectTooDeep("SELECT ((" + Chain(200) + ")" + Repeat("+1", 199) + ")");
+}
+
+TEST(NestingBoundTest, InputExactlyAtTheBoundParses) {
+  for (const std::string& sql : {"SELECT " + Parens(255), "SELECT " + Nots(255),
+                                 "SELECT " + Minuses(255),
+                                 "SELECT " + Chain(256), NestedIfs(256)}) {
+    EXPECT_TRUE(Parse(sql).ok()) << sql.substr(0, 60);
+  }
+  EXPECT_EQ(MustExpr(Chain(256))->height(), 256);
+  // One more level of any kind is over the bound.
+  for (const std::string& sql : {"SELECT " + Parens(256), "SELECT " + Nots(256),
+                                 "SELECT " + Minuses(256),
+                                 "SELECT " + Chain(257), NestedIfs(257)}) {
+    ExpectTooDeep(sql);
+  }
 }
 
 // --- round trips: ToSql output reparses to the same SQL ----------------------

@@ -131,6 +131,8 @@ TEST(FormatFindingsTest, SarifCarriesRuleTableAndLogicalLocations) {
   EXPECT_NE(sarif.find("\"ruleId\": \"FF410\""), std::string::npos);
   EXPECT_NE(sarif.find("\"fullyQualifiedName\": \"spec:X/node:N\""),
             std::string::npos);
+  // Retired codes (FF100..FF299) are gone from the rule table.
+  EXPECT_EQ(sarif.find("\"id\": \"FF111\""), std::string::npos);
 }
 
 TEST(FormatFindingsTest, EmptyInputsStayWellFormed) {

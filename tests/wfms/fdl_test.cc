@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace fedflow::wfms {
 namespace {
 
@@ -83,6 +85,24 @@ END
   ASSERT_TRUE(procs.ok()) << procs.status();
   ASSERT_NE((*procs)[0].connectors[0].condition, nullptr);
   EXPECT_EQ((*procs)[0].activities[1].join, JoinKind::kOr);
+}
+
+TEST(FdlTest, OverDeepConditionIsRejectedWithItsLine) {
+  // Conditions are SQL expressions, so the SQL parser's nesting bound
+  // applies: 10,000 nested parentheses fail cleanly, 255 still parse.
+  auto fdl = [](int depth) {
+    return "PROCESS P ()\nPROGRAM A SYSTEM s FUNCTION f\n"
+           "PROGRAM B SYSTEM s FUNCTION g\nCONNECT A -> B WHEN " +
+           std::string(depth, '(') + "A.v > 3" + std::string(depth, ')') +
+           "\nEND\n";
+  };
+  auto deep = ParseFdl(fdl(10000));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(deep.status().message().find("FDL line 4: nesting deeper than"),
+            std::string::npos)
+      << deep.status();
+  EXPECT_TRUE(ParseFdl(fdl(255)).ok());
 }
 
 TEST(FdlTest, BlockReferencesEarlierProcess) {

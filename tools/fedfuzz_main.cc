@@ -6,10 +6,12 @@
 // oracles against the live couplings:
 //
 //   1. Static:   the generated spec must carry no error-severity findings
-//                (spec lint + plan lint + the FF4xx dataflow analyses) and
-//                must classify as the case the generator intended.
+//                (spec lint + the FF4xx dataflow analyses) and must classify
+//                as the case the generator intended.
 //   2. Register: every architecture that supports the spec's class must
 //                accept it; every architecture that does not must reject it.
+//                Registration runs the full gate, so this is where plan lint
+//                (FF3xx) is exercised.
 //   3. Execute:  all accepting architectures must return the same result
 //                (schema + row multiset), and the observed row counts and
 //                per-function local-call counts must fall inside the

@@ -2,7 +2,6 @@
 
 #include <cstdarg>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,20 +11,13 @@
 #include "analysis/dataflow/dataflow_lint.h"
 #include "analysis/plan_lint.h"
 #include "analysis/spec_lint.h"
-#include "analysis/sql_lint.h"
-#include "analysis/workflow_lint.h"
 #include "appsys/dataset.h"
 #include "appsys/pdm.h"
 #include "appsys/purchasing.h"
 #include "appsys/registry.h"
 #include "appsys/stockkeeping.h"
-#include "fdbs/database.h"
-#include "federation/classify.h"
 #include "federation/sample_scenario.h"
-#include "federation/udtf_coupling.h"
-#include "federation/wfms_coupling.h"
 #include "sim/latency.h"
-#include "wfms/engine.h"
 
 namespace fedflow::tools {
 
@@ -47,7 +39,7 @@ constexpr char kUsage[] =
     "usage: fedlint [--list-corpus | --corpus NAME | --corpus-all]\n"
     "               [--format=text|json|sarif] [--strict]\n"
     "\n"
-    "  (no mode)       lint the full sample scenario, all five passes\n"
+    "  (no mode)       lint the full sample scenario, all three passes\n"
     "  --list-corpus   print the corpus entry names (malformed + semantic)\n"
     "  --corpus NAME   lint one corpus entry\n"
     "  --corpus-all    lint every corpus entry\n"
@@ -174,22 +166,6 @@ Result<appsys::AppSystemRegistry> SampleRegistry() {
   return systems;
 }
 
-/// Resolves A-UDTF names across every registered application system, as the
-/// FDBS catalog does after RegisterAccessUdtfs().
-UdtfLookup MakeLookup(const appsys::AppSystemRegistry& systems) {
-  return [&systems](const std::string& name) -> std::optional<UdtfSignature> {
-    for (const std::string& sys_name : systems.Names()) {
-      Result<appsys::AppSystem*> sys = systems.Get(sys_name);
-      if (!sys.ok()) continue;
-      Result<const appsys::LocalFunction*> fn = (*sys)->GetFunction(name);
-      if (fn.ok()) {
-        return UdtfSignature{(*fn)->params, (*fn)->result_schema};
-      }
-    }
-    return std::nullopt;
-  };
-}
-
 /// A compile failure rendered as a diagnostic, so the machine formats carry
 /// it like any other finding (same FF304 family the plan pass uses).
 Diagnostic CompileFailure(const std::string& spec_name,
@@ -198,26 +174,14 @@ Diagnostic CompileFailure(const std::string& spec_name,
                     what + " failed: " + status.ToString(), ""};
 }
 
-/// Lints one sample spec through all five passes.
+/// Lints one sample spec through all three passes.
 std::vector<Diagnostic> LintSampleSpec(
     const federation::FederatedFunctionSpec& spec,
-    const appsys::AppSystemRegistry& systems, const sim::LatencyModel& model,
-    federation::WfmsCoupling* wfms, federation::UdtfCoupling* udtf,
-    const UdtfLookup& lookup) {
+    const appsys::AppSystemRegistry& systems, const sim::LatencyModel& model) {
   // Pass 1: the spec itself.
   std::vector<Diagnostic> diags = LintSpec(spec, systems);
 
-  // Pass 2: the workflow process compiled from it.
-  Result<federation::CompiledProcess> compiled = wfms->CompileProcess(spec);
-  if (compiled.ok()) {
-    std::vector<Diagnostic> wf = LintProcess(compiled->process, systems);
-    diags.insert(diags.end(), wf.begin(), wf.end());
-  } else {
-    diags.push_back(
-        CompileFailure(spec.name, "workflow compilation", compiled.status()));
-  }
-
-  // Pass 3: plan consistency — the optimized plan's lowerings must agree
+  // Pass 2: plan consistency — the optimized plan's lowerings must agree
   // with the IR on call set, ordering, classification and sunk predicates
   // (FF3xx). Checked in both passthrough and fully-optimized modes.
   {
@@ -231,19 +195,7 @@ std::vector<Diagnostic> LintSampleSpec(
     diags.insert(diags.end(), po.begin(), po.end());
   }
 
-  // Pass 4: the generated I-UDTF SQL (loop specs are WfMS-only).
-  if (!spec.loop.enabled) {
-    Result<std::string> sql = udtf->CompileIUdtfSql(spec);
-    if (sql.ok()) {
-      std::vector<Diagnostic> sq = LintIUdtfSql(*sql, lookup);
-      diags.insert(diags.end(), sq.begin(), sq.end());
-    } else {
-      diags.push_back(
-          CompileFailure(spec.name, "I-UDTF compilation", sql.status()));
-    }
-  }
-
-  // Pass 5: the dataflow analyses, under the paper's default deployment
+  // Pass 3: the dataflow analyses, under the paper's default deployment
   // (single controller, no deadline).
   Result<DataflowResult> df = RunDataflow(spec, systems, model);
   if (df.ok()) {
@@ -354,19 +306,11 @@ int RunSample(const CliOptions& options, std::string* output) {
     return 2;
   }
 
-  // Infrastructure the couplings compile against (nothing is executed).
   sim::LatencyModel model;
-  fdbs::Database db;
-  wfms::Engine engine{wfms::EngineOptions{}};
-  federation::WfmsCoupling wfms(&db, &engine, &*systems, &model);
-  federation::UdtfCoupling udtf(&db, &*systems, &model);
-  UdtfLookup lookup = MakeLookup(*systems);
-
   std::vector<Diagnostic> diags;
   for (const federation::FederatedFunctionSpec& spec :
        federation::AllSampleSpecs()) {
-    std::vector<Diagnostic> found =
-        LintSampleSpec(spec, *systems, model, &wfms, &udtf, lookup);
+    std::vector<Diagnostic> found = LintSampleSpec(spec, *systems, model);
     if (options.format == OutputFormat::kText) {
       if (found.empty()) {
         *output += Sprintf("%-22s clean\n", spec.name.c_str());

@@ -1,8 +1,8 @@
-// fedlint: static verification of federated-function specs, the workflow
-// processes and I-UDTF SQL compiled from them, and semantic dataflow facts
-// over the FedPlan IR.
+// fedlint: static verification of federated-function specs, of the plan IR
+// they compile to and of its lowerings, and semantic dataflow facts over the
+// plan.
 //
-//   fedlint                 lint the full sample scenario, all five passes
+//   fedlint                 lint the full sample scenario, all three passes
 //   fedlint --list-corpus   print the corpus entry names
 //   fedlint --corpus NAME   lint one corpus entry
 //   fedlint --corpus-all    lint every corpus entry
