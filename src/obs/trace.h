@@ -18,6 +18,7 @@
 #ifndef FEDFLOW_OBS_TRACE_H_
 #define FEDFLOW_OBS_TRACE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -91,8 +92,8 @@ struct Span {
   std::string attribute(const std::string& key) const;
 };
 
-/// Collects spans for one integration server. Thread-safe: workflow
-/// activities on pool threads record concurrently. Disabled (the default)
+/// Collects spans for one integration server. Thread-safe: workflow fork
+/// branches on pool threads record concurrently. Disabled (the default)
 /// every member is a cheap no-op and StartSpan returns 0, which all other
 /// members accept and ignore — instrumentation never needs null checks.
 class Tracer {
@@ -139,7 +140,7 @@ class Tracer {
   void Reset();
 
  private:
-  bool enabled_ = false;
+  std::atomic<bool> enabled_{false};  ///< read without mu_ by every StartSpan
   mutable std::mutex mu_;
   std::vector<Span> spans_;       // spans_[id - 1]
   uint64_t next_trace_id_ = 1;
@@ -147,7 +148,7 @@ class Tracer {
 };
 
 /// Cross-thread handle for instrumenting work that runs away from the
-/// session stack (workflow activities on pool threads): an explicit parent
+/// session stack (workflow activities, some on pool threads): an explicit parent
 /// instead of ambient state. `base_us` maps the callee's relative virtual
 /// times (engine token timestamps start at 0 per instance) onto the
 /// session's clock timeline.

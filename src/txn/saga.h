@@ -98,7 +98,7 @@ class SagaRuntime;
 
 /// Per-invocation saga execution state, created by SagaRuntime::Begin and
 /// threaded to the couplings via sim::FlowState::saga. Thread-safe: under
-/// the WfMS architecture, activities run on the engine's thread pool.
+/// the WfMS architecture, fork branches run on the engine's thread pool.
 class SagaExec {
  public:
   /// The write step registered for (system, function); nullptr when the call

@@ -49,7 +49,7 @@ class AuditTrail {
   /// Entries for one activity, in order.
   std::vector<AuditEntry> ForActivity(const std::string& activity) const;
 
-  /// Sorts entries by (time, activity index): navigation under a thread pool
+  /// Sorts entries by (time, activity index): fork branches on pool threads
   /// can record concurrently-finishing events out of order, and same-time
   /// ties resolve by the activity's definition position (process-started
   /// first, process-finished last), matching the engine's error ranking.

@@ -14,6 +14,8 @@ namespace fedflow::wfms {
 
 namespace {
 
+constexpr size_t kWorkerThreads = 4;  ///< pool threads for fork surplus
+
 /// Lifecycle of one activity within an instance.
 enum class AState { kWaiting, kScheduled, kFinished, kDead, kFailed };
 
@@ -28,20 +30,21 @@ struct ActState {
 
 }  // namespace
 
-/// Navigates one process instance. Pool mode executes ready activities on the
-/// engine's thread pool (real parallelism); inline mode (used for nested
-/// block sub-processes) drains a ready-queue on the calling thread. Virtual
-/// token timestamps are identical in both modes.
-class InstanceRunner {
+/// Navigates one process instance, top-level or block sub-process alike: the
+/// thread calling Run drains the ready queue itself, and a thread that takes
+/// an activity while others are still queued offers one pool task to help.
+/// No deadlock however many threads navigate: a navigating thread waits only
+/// for activities that are executing, never for a pool task not yet started,
+/// and a task keeps the runner (always in a shared_ptr) alive, so one that
+/// starts late finds the queue empty. Token times ignore which thread ran.
+class InstanceRunner : public std::enable_shared_from_this<InstanceRunner> {
  public:
   InstanceRunner(Engine* engine, const ProcessDefinition& def,
                  const std::vector<Value>& args, ProgramInvoker* invoker,
-                 bool use_pool, InstanceCheckpoint* ckpt = nullptr,
-                 obs::TraceHandle trace = {})
+                 InstanceCheckpoint* ckpt, obs::TraceHandle trace)
       : engine_(engine),
         def_(def),
         invoker_(invoker),
-        use_pool_(use_pool),
         ckpt_(ckpt),
         trace_(trace),
         raw_args_(args) {}
@@ -60,8 +63,11 @@ class InstanceRunner {
   void ResolveOutgoing(size_t idx, VTime t, bool source_ran);
   void Fail(const Status& status, size_t idx, VTime t);
 
-  /// Task body; acquires mu_ internally.
-  void ExecuteActivity(size_t idx, VTime start);
+  using Lock = std::unique_lock<std::mutex>;
+  /// Runs queued activities until none is left. Holds `lock` on mu_.
+  void Drain(Lock& lock);
+  /// Runs one activity, releasing `lock` around its external work.
+  void ExecuteActivity(Lock& lock, size_t idx, VTime start);
 
   /// Resolves one input source. Must hold mu_.
   Result<Table> ResolveInput(const InputSource& in) const;
@@ -89,20 +95,19 @@ class InstanceRunner {
   Engine* engine_;
   const ProcessDefinition& def_;
   ProgramInvoker* invoker_;
-  const bool use_pool_;
   InstanceCheckpoint* ckpt_;  ///< null = run without forward recovery
   obs::TraceHandle trace_;
   obs::SpanId proc_span_ = 0;  ///< process span; 0 when tracing is off
   const std::vector<Value>& raw_args_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;  ///< Run waits on it for executing activities
   std::vector<ActState> states_;
   std::vector<std::vector<const ControlConnector*>> outgoing_;
   std::vector<std::pair<std::string, Value>> inputs_;  // process input fields
   Container data_;                                     // activity outputs
-  std::deque<Work> inline_queue_;
-  int outstanding_ = 0;
+  std::deque<Work> ready_;  ///< scheduled activities no thread has taken yet
+  int running_ = 0;         ///< activities taken and still executing
   Status error_;
   /// (virtual failure time, activity index) of the failure error_ reports;
   /// earliest wins so the surfaced error does not depend on which pool
@@ -157,7 +162,7 @@ Result<ProcessResult> InstanceRunner::Run() {
   }
 
   {
-    std::unique_lock<std::mutex> lock(mu_);
+    Lock lock(mu_);
     std::vector<size_t> restored;
     const bool resuming = ckpt_ != nullptr && ckpt_->valid;
     if (resuming) {
@@ -212,22 +217,10 @@ Result<ProcessResult> InstanceRunner::Run() {
     for (size_t idx : restored) {
       ResolveOutgoing(idx, states_[idx].end, /*source_ran=*/true);
     }
-    if (use_pool_) {
-      cv_.wait(lock, [this] { return outstanding_ == 0; });
-    } else {
-      while (true) {
-        if (inline_queue_.empty()) {
-          if (outstanding_ == 0) break;
-          // Inline mode is single-threaded; outstanding without queued work
-          // cannot happen.
-          return Status::Internal("inline navigator stalled");
-        }
-        Work w = inline_queue_.front();
-        inline_queue_.pop_front();
-        lock.unlock();
-        ExecuteActivity(w.idx, w.start);
-        lock.lock();
-      }
+    while (true) {
+      Drain(lock);
+      if (running_ == 0) break;
+      cv_.wait(lock, [this] { return running_ == 0 || !ready_.empty(); });
     }
   }
 
@@ -286,11 +279,23 @@ Result<ProcessResult> InstanceRunner::Run() {
 
 void InstanceRunner::Schedule(size_t idx, VTime start) {
   states_[idx].state = AState::kScheduled;
-  ++outstanding_;
-  if (use_pool_) {
-    engine_->pool_->Submit([this, idx, start] { ExecuteActivity(idx, start); });
-  } else {
-    inline_queue_.push_back(Work{idx, start});
+  ready_.push_back(Work{idx, start});
+}
+
+void InstanceRunner::Drain(Lock& lock) {
+  while (!ready_.empty()) {
+    const Work w = ready_.front();
+    ready_.pop_front();
+    ++running_;
+    if (!ready_.empty()) {
+      engine_->pool_->Submit([self = shared_from_this()] {
+        Lock helper_lock(self->mu_);
+        self->Drain(helper_lock);
+      });
+    }
+    ExecuteActivity(lock, w.idx, w.start);
+    --running_;
+    if (running_ == 0 || !ready_.empty()) cv_.notify_one();
   }
 }
 
@@ -442,40 +447,37 @@ Result<Value> InstanceRunner::ResolveRef(const std::string& qualifier,
   return Status::NotFound("condition reference not found: " + name);
 }
 
-void InstanceRunner::ExecuteActivity(size_t idx, VTime start) {
+void InstanceRunner::ExecuteActivity(Lock& lock, size_t idx, VTime start) {
   const ActivityDef& a = def_.activities[idx];
 
   // Resolve inputs under the lock (reads shared instance data).
   std::vector<Value> scalar_args;
   std::vector<Table> table_args;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Status st = Status::OK();
-    for (const InputSource& in : a.inputs) {
-      if (a.kind == ActivityKind::kHelper) {
-        Result<Table> t = ResolveInput(in);
-        if (!t.ok()) {
-          st = t.status();
-          break;
-        }
-        table_args.push_back(std::move(*t));
-      } else {
-        Result<Value> v = ResolveInputScalar(in);
-        if (!v.ok()) {
-          st = v.status();
-          break;
-        }
-        scalar_args.push_back(std::move(*v));
+  Status st = Status::OK();
+  for (const InputSource& in : a.inputs) {
+    if (a.kind == ActivityKind::kHelper) {
+      Result<Table> t = ResolveInput(in);
+      if (!t.ok()) {
+        st = t.status();
+        break;
       }
+      table_args.push_back(std::move(*t));
+    } else {
+      Result<Value> v = ResolveInputScalar(in);
+      if (!v.ok()) {
+        st = v.status();
+        break;
+      }
+      scalar_args.push_back(std::move(*v));
     }
-    if (!st.ok()) {
-      Fail(st.WithContext("resolving inputs"), idx, start);
-      if (--outstanding_ == 0) cv_.notify_all();
-      return;
-    }
-    audit_.Record(start, AuditEvent::kActivityStarted, a.name, "",
-                  static_cast<int>(idx));
   }
+  if (!st.ok()) {
+    Fail(st.WithContext("resolving inputs"), idx, start);
+    return;
+  }
+  audit_.Record(start, AuditEvent::kActivityStarted, a.name, "",
+                static_cast<int>(idx));
+  lock.unlock();
 
   // Per-activity span: token start/end times on the session timeline, audit
   // records mirrored as span events. The tracer is internally synchronized,
@@ -505,7 +507,7 @@ void InstanceRunner::ExecuteActivity(size_t idx, VTime start) {
     return Status::Internal("bad activity kind");
   }();
 
-  std::lock_guard<std::mutex> lock(mu_);
+  lock.lock();
   if (!work.ok()) {
     Fail(work.status(), idx, start);
     if (act_span != 0) {
@@ -554,7 +556,6 @@ void InstanceRunner::ExecuteActivity(size_t idx, VTime start) {
     }
     ResolveOutgoing(idx, end, /*source_ran=*/true);
   }
-  if (--outstanding_ == 0) cv_.notify_all();
 }
 
 Result<InvokeResult> InstanceRunner::DoProgram(const ActivityDef& a,
@@ -620,11 +621,10 @@ Result<InvokeResult> InstanceRunner::DoBlock(const ActivityDef& a,
     std::vector<Value> sub_args = args;
     if (iter_param >= 0) sub_args[iter_param] = Value::Int(iteration);
 
-    InstanceRunner sub(engine_, *a.sub, sub_args, invoker_,
-                       /*use_pool=*/false, /*ckpt=*/nullptr,
-                       obs::TraceHandle{trace_.tracer, span,
-                                        TraceTime(start) + total});
-    FEDFLOW_ASSIGN_OR_RETURN(ProcessResult sub_result, sub.Run());
+    auto sub = std::make_shared<InstanceRunner>(
+        engine_, *a.sub, sub_args, invoker_, /*ckpt=*/nullptr,
+        obs::TraceHandle{trace_.tracer, span, TraceTime(start) + total});
+    FEDFLOW_ASSIGN_OR_RETURN(ProcessResult sub_result, sub->Run());
     total += sub_result.elapsed_us;
     result.steps.Merge(sub_result.breakdown);
     last_output = std::move(sub_result.output);
@@ -693,7 +693,7 @@ Result<InvokeResult> InstanceRunner::DoBlock(const ActivityDef& a,
 }
 
 Engine::Engine(EngineOptions options) : options_(options) {
-  pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
+  pool_ = std::make_unique<ThreadPool>(kWorkerThreads);
   helpers_.emplace("IDENTITY", MakeIdentityHelper());
   helpers_.emplace("CONCAT", MakeConcatHelper());
   helpers_.emplace("UNION_ALL", MakeUnionAllHelper());
@@ -741,9 +741,8 @@ Result<ProcessResult> Engine::Run(const std::string& process,
                                   ProgramInvoker* invoker,
                                   const obs::TraceHandle& trace) {
   FEDFLOW_ASSIGN_OR_RETURN(const ProcessDefinition* def, GetProcess(process));
-  InstanceRunner runner(this, *def, args, invoker, /*use_pool=*/true,
-                        /*ckpt=*/nullptr, trace);
-  return runner.Run();
+  return std::make_shared<InstanceRunner>(this, *def, args, invoker, nullptr,
+                                          trace)->Run();
 }
 
 Result<ProcessResult> Engine::RunDefinition(const ProcessDefinition& def,
@@ -751,9 +750,8 @@ Result<ProcessResult> Engine::RunDefinition(const ProcessDefinition& def,
                                             ProgramInvoker* invoker,
                                             const obs::TraceHandle& trace) {
   FEDFLOW_RETURN_NOT_OK(ValidateProcess(def));
-  InstanceRunner runner(this, def, args, invoker, /*use_pool=*/true,
-                        /*ckpt=*/nullptr, trace);
-  return runner.Run();
+  return std::make_shared<InstanceRunner>(this, def, args, invoker, nullptr,
+                                          trace)->Run();
 }
 
 Result<ProcessResult> Engine::RunRecoverable(const std::string& process,
@@ -769,9 +767,8 @@ Result<ProcessResult> Engine::RunRecoverable(const std::string& process,
     return Status::InvalidArgument("checkpoint belongs to process " +
                                    ckpt->process + ", not " + def->name);
   }
-  InstanceRunner runner(this, *def, args, invoker, /*use_pool=*/true, ckpt,
-                        trace);
-  return runner.Run();
+  return std::make_shared<InstanceRunner>(this, *def, args, invoker, ckpt,
+                                          trace)->Run();
 }
 
 Result<ProcessResult> Engine::ResumeFrom(InstanceCheckpoint& ckpt,

@@ -1,8 +1,8 @@
 // The workflow engine: registers process templates, instantiates them, and
-// navigates instances — parallel forks on a real thread pool, transition
-// conditions with dead-path elimination, do-until blocks — while computing
-// deterministic virtual-time token timestamps (an activity starts at the max
-// of its incoming tokens and ends at start + modeled work).
+// navigates instances on the calling thread — surplus fork branches on a small
+// thread pool, transition conditions with dead-path elimination, do-until
+// blocks — while computing deterministic virtual-time token timestamps (an
+// activity starts at the max of its incoming tokens and ends at start + work).
 #ifndef FEDFLOW_WFMS_ENGINE_H_
 #define FEDFLOW_WFMS_ENGINE_H_
 
@@ -32,8 +32,6 @@ inline constexpr char kWorkflowNavigation[] = "Workflow";
 /// Engine configuration. Costs are virtual microseconds; callers derive them
 /// from the simulation latency model.
 struct EngineOptions {
-  /// Worker threads for parallel activity execution.
-  size_t worker_threads = 4;
   /// Navigation overhead the engine charges per navigated activity
   /// (scheduling, connector evaluation) — attributed to "Workflow".
   VDuration navigation_cost_us = 0;
@@ -157,7 +155,7 @@ class Engine {
   EngineOptions options_;
   std::map<std::string, ProcessDefinition> processes_;
   std::map<std::string, HelperFn> helpers_;
-  std::unique_ptr<ThreadPool> pool_;
+  std::unique_ptr<ThreadPool> pool_;  ///< runs surplus fork branches
 };
 
 }  // namespace fedflow::wfms

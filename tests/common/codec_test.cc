@@ -67,6 +67,12 @@ TEST(CodecTest, TruncatedBufferFails) {
   std::vector<uint8_t> truncated(w.buffer().begin(), w.buffer().end() - 3);
   ByteReader r(truncated);
   EXPECT_FALSE(r.GetValue().ok());
+  // A row arity the bytes left cannot hold (each value needs its tag byte).
+  const std::vector<uint8_t> huge_arity = {0xFF, 0xFF, 0xFF, 0xFF};
+  ByteReader rows(huge_arity);
+  auto row = rows.GetRow();
+  ASSERT_FALSE(row.ok());
+  EXPECT_EQ(row.status().code(), StatusCode::kExecutionError);
 }
 
 TEST(CodecTest, BadTagFails) {

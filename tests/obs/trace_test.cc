@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 
 #include "common/vclock.h"
 #include "obs/export.h"
@@ -302,6 +303,32 @@ TEST(ExportTest, ChromeTraceJsonAndSpanTree) {
   EXPECT_NE(tree.find("status=unavailable"), std::string::npos);
   // The child renders indented under the root.
   EXPECT_LT(tree.find("[fdbs] root"), tree.find("[rmi] serve"));
+}
+
+TEST(TracerTest, EnableToggleRacesWithSpanStarts) {
+  // The switch is read without the tracer's lock by every StartSpan, so one
+  // thread may flip it while another records spans.
+  Tracer tracer;
+  std::thread toggler([&tracer] {
+    for (int i = 0; i < 5000; ++i) {
+      if (i % 2 == 0) {
+        tracer.Enable();
+      } else {
+        tracer.Disable();
+      }
+    }
+  });
+  size_t recorded = 0;
+  for (int i = 0; i < 5000; ++i) {
+    SpanId id = tracer.StartSpan("x", Layer::kWfms, 0, i);
+    SpanId remote = tracer.StartRemoteSpan("y", Layer::kRmi,
+                                           tracer.ContextOf(id), i);
+    tracer.EndSpan(remote, i + 1);
+    tracer.EndSpan(id, i + 1);
+    recorded += (id != 0) + (remote != 0);
+  }
+  toggler.join();
+  EXPECT_EQ(tracer.span_count(), recorded);
 }
 
 TEST(TracerTest, ResetDropsSpans) {

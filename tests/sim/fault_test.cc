@@ -390,6 +390,21 @@ TEST(RmiStreamingEdgeTest, InflatedRowCountSurfacesAsStatusFromNext) {
   EXPECT_FALSE(batch.ok()) << "reading past the buffer must fail cleanly";
 }
 
+TEST(RmiStreamingEdgeTest, WireSizedRowAritySurfacesAsStatus) {
+  LatencyModel model;
+  RmiChannel rmi(&model);
+  // Zero-column schema, one row, whose arity claims 2^32 - 1 values.
+  const std::vector<uint8_t> buffer = {0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+                                       0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF};
+  auto rows = rmi.DecodeResponseBuffer(buffer, 8);
+  ASSERT_TRUE(rows.ok()) << "header still decodes";
+  EXPECT_EQ((*rows)->Next().status().code(), StatusCode::kExecutionError);
+  auto columns = rmi.DecodeResponseBuffer(buffer, 8);
+  ASSERT_TRUE(columns.ok());
+  EXPECT_EQ((*columns)->NextColumns().status().code(),
+            StatusCode::kExecutionError);
+}
+
 TEST(RmiStreamingEdgeTest, WellFormedBufferDecodesAllRows) {
   LatencyModel model;
   RmiChannel rmi(&model);

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <condition_variable>
 #include <map>
 #include <mutex>
+#include <thread>
 
 #include "wfms/builder.h"
 #include "wfms/helpers.h"
@@ -491,6 +493,149 @@ TEST_F(EngineTest, ParallelActivitiesReallyRunConcurrently) {
   ASSERT_TRUE(def.ok());
   auto result = engine_.RunDefinition(*def, {}, &invoker_);
   ASSERT_TRUE(result.ok()) << result.status();
+}
+
+// --- One caller-runs navigator ---------------------------------------------
+
+TEST_F(EngineTest, SequentialChainRunsOnTheCallingThread) {
+  std::mutex mu;
+  std::vector<std::thread::id> threads;
+  auto add_one = [&](const std::vector<Value>& args) -> Result<Table> {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      threads.push_back(std::this_thread::get_id());
+    }
+    Schema s;
+    s.AddColumn("v", DataType::kInt);
+    Table t(s);
+    t.AppendRowUnchecked({Value::Int(args[0].AsInt() + 1)});
+    return t;
+  };
+  invoker_.Define("f1", 10, add_one);
+  invoker_.Define("f2", 10, add_one);
+  invoker_.Define("f3", 10, add_one);
+  ProcessBuilder b("chain3");
+  b.Input("x", DataType::kInt);
+  b.Program("A", "sys", "f1", {InputSource::FromProcessInput("x")});
+  b.Program("B", "sys", "f2", {InputSource::FromActivity("A", "v")});
+  b.Program("C", "sys", "f3", {InputSource::FromActivity("B", "v")});
+  b.Connect("A", "B");
+  b.Connect("B", "C");
+  b.Output("C");
+  auto def = b.Build();
+  ASSERT_TRUE(def.ok());
+  auto result = engine_.RunDefinition(*def, {Value::Int(0)}, &invoker_);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->output.rows()[0][0].AsInt(), 3);
+  ASSERT_EQ(threads.size(), 3u);
+  for (const std::thread::id& id : threads) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
+TEST_F(EngineTest, ParallelActivitiesInsideABlockRunConcurrently) {
+  // The barrier pair of ParallelActivitiesReallyRunConcurrently, moved into
+  // a block's sub-process: block bodies fork onto the pool too.
+  std::mutex mu;
+  std::condition_variable cv;
+  int started = 0;
+  auto barrier = [&](const std::vector<Value>&) -> Result<Table> {
+    std::unique_lock<std::mutex> lock(mu);
+    ++started;
+    cv.notify_all();
+    if (!cv.wait_for(lock, std::chrono::seconds(10),
+                     [&] { return started >= 2; })) {
+      return Status::ExecutionError("barrier timeout");
+    }
+    Schema s;
+    s.AddColumn("v", DataType::kInt);
+    Table t(s);
+    t.AppendRowUnchecked({Value::Int(1)});
+    return t;
+  };
+  invoker_.Define("b1", 10, barrier);
+  invoker_.Define("b2", 10, barrier);
+  ProcessBuilder body("concurrent_body");
+  body.Program("A", "sys", "b1", {});
+  body.Program("B", "sys", "b2", {});
+  body.Helper("J", "concat",
+              {InputSource::FromActivity("A", ""),
+               InputSource::FromActivity("B", "")});
+  body.Connect("A", "J");
+  body.Connect("B", "J");
+  body.Output("J");
+  auto sub = body.BuildShared();
+  ASSERT_TRUE(sub.ok()) << sub.status();
+  ProcessBuilder b("concurrent_block");
+  b.Block("L", *sub, {});
+  auto def = b.Build();
+  ASSERT_TRUE(def.ok()) << def.status();
+  auto result = engine_.RunDefinition(*def, {}, &invoker_);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->output.schema().num_columns(), 2u);
+}
+
+TEST_F(EngineTest, NestedForksFromManyCallersNeverDeadlock) {
+  // More navigating threads than pool workers, each forking three do-until
+  // blocks whose bodies fork again: only terminates if no navigating thread
+  // waits for a pool task that has not started.
+  invoker_.Define("plus", 10, [](const std::vector<Value>& args) {
+    Schema s;
+    s.AddColumn("v", DataType::kInt);
+    Table t(s);
+    t.AppendRowUnchecked({Value::Int(args[0].AsInt() + args[1].AsInt())});
+    return Result<Table>(std::move(t));
+  });
+  const std::vector<InputSource> plus_args = {
+      InputSource::FromProcessInput("x"),
+      InputSource::FromProcessInput("ITERATION")};
+  ProcessBuilder body("fork_body");
+  body.Input("x", DataType::kInt);
+  body.Input("ITERATION", DataType::kInt);
+  body.Program("P", "sys", "plus", plus_args);
+  body.Program("Q", "sys", "plus", plus_args);
+  body.Helper("J", "union_all",
+              {InputSource::FromActivity("P", ""),
+               InputSource::FromActivity("Q", "")});
+  body.Connect("P", "J");
+  body.Connect("Q", "J");
+  body.Output("J");
+  auto sub = body.BuildShared();
+  ASSERT_TRUE(sub.ok()) << sub.status();
+  const std::vector<InputSource> block_args = {
+      InputSource::FromProcessInput("x"), InputSource::Constant(Value::Int(0))};
+  ProcessBuilder b("nested_forks");
+  b.Input("x", DataType::kInt);
+  std::vector<InputSource> blocks;
+  for (const char* name : {"L1", "L2", "L3"}) {
+    b.Block(name, *sub, block_args, "ITERATION >= 3");
+    b.Connect(name, "U");
+    blocks.push_back(InputSource::FromActivity(name, ""));
+  }
+  b.Helper("U", "union_all", blocks);
+  b.Output("U");
+  auto def = b.Build();
+  ASSERT_TRUE(def.ok()) << def.status();
+
+  constexpr int kClients = 16;
+  constexpr int kRuns = 30;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int r = 0; r < kRuns; ++r) {
+        const int x = c * 1000 + r;
+        auto result = engine_.RunDefinition(*def, {Value::Int(x)}, &invoker_);
+        bool right = result.ok() && result->output.num_rows() == 6;
+        for (size_t i = 0; right && i < 6; ++i) {
+          right = result->output.rows()[i][0].AsInt() == x + 3;
+        }
+        if (!right) ++wrong;
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 // --- Forward recovery -------------------------------------------------------
