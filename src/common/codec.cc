@@ -150,7 +150,7 @@ Result<Value> ByteReader::GetValue() {
 Result<Row> ByteReader::GetRow() {
   FEDFLOW_ASSIGN_OR_RETURN(uint32_t n, GetU32());
   // Each value costs at least its 1-byte tag: bound the wire-sized reserve.
-  if (n > buf_.size() - pos_) return Status::ExecutionError("codec: truncated");
+  if (n > remaining()) return Status::ExecutionError("codec: truncated");
   Row row;
   row.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

@@ -52,6 +52,9 @@ class ByteReader {
   /// True when the whole buffer has been consumed.
   bool AtEnd() const { return pos_ == buf_.size(); }
 
+  /// Bytes not yet consumed.
+  size_t remaining() const { return buf_.size() - pos_; }
+
  private:
   const std::vector<uint8_t>& buf_;
   size_t pos_ = 0;

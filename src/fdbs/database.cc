@@ -23,9 +23,8 @@ Result<Table> Database::Execute(const std::string& statement) {
 
 Result<Table> Database::Execute(const std::string& statement,
                                 ExecContext& ctx) {
-  if (ctx.db == nullptr) ctx.db = this;
   FEDFLOW_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(statement));
-  return Dispatch(stmt, ctx);
+  return Execute(stmt, ctx);
 }
 
 Result<Table> Database::ExecuteSelect(const sql::SelectStmt& stmt,
@@ -36,7 +35,8 @@ Result<Table> Database::ExecuteSelect(const sql::SelectStmt& stmt,
   return executor.Execute(stmt);
 }
 
-Result<Table> Database::Dispatch(const sql::Statement& stmt, ExecContext& ctx) {
+Result<Table> Database::Execute(const sql::Statement& stmt, ExecContext& ctx) {
+  if (ctx.db == nullptr) ctx.db = this;
   switch (stmt.kind) {
     case sql::StatementKind::kSelect:
       return ExecuteSelect(*stmt.select, ctx);
@@ -148,13 +148,14 @@ Result<Table> Database::Dispatch(const sql::Statement& stmt, ExecContext& ctx) {
       return result;
     }
     case sql::StatementKind::kCreateFunction: {
-      // Transfer ownership of the parsed definition into the function object.
+      // The function object owns a copy of the definition (expression
+      // nodes are immutable and shared).
       auto def = std::make_shared<sql::CreateFunctionStmt>();
       def->name = stmt.create_function->name;
       def->params = stmt.create_function->params;
       def->returns = stmt.create_function->returns;
-      def->body = std::make_unique<sql::SelectStmt>(
-          std::move(*stmt.create_function->body));
+      def->body =
+          std::make_unique<sql::SelectStmt>(*stmt.create_function->body);
       if (catalog_.HasScalarFunction(def->name)) {
         return Status::AlreadyExists(
             "a scalar function with this name exists: " + def->name);
@@ -168,7 +169,7 @@ Result<Table> Database::Dispatch(const sql::Statement& stmt, ExecContext& ctx) {
       proc.name = stmt.create_procedure->name;
       proc.params = stmt.create_procedure->params;
       proc.body = std::make_shared<std::vector<sql::PsmStatement>>(
-          std::move(stmt.create_procedure->body));
+          stmt.create_procedure->body);
       FEDFLOW_RETURN_NOT_OK(catalog_.RegisterProcedure(std::move(proc)));
       return Table();
     }

@@ -31,14 +31,16 @@ class Database {
   /// Same, but under an explicit execution context (virtual clock etc.).
   Result<Table> Execute(const std::string& statement, ExecContext& ctx);
 
+  /// Executes an already-parsed (or directly built) statement; nothing is
+  /// parsed. `stmt` is left unchanged.
+  Result<Table> Execute(const sql::Statement& stmt, ExecContext& ctx);
+
   /// Executes an already-parsed SELECT. `params` supplies the enclosing SQL
   /// function's parameters (for I-UDTF bodies); may be null.
   Result<Table> ExecuteSelect(const sql::SelectStmt& stmt, ExecContext& ctx,
                               const ParamScope* params = nullptr);
 
  private:
-  Result<Table> Dispatch(const sql::Statement& stmt, ExecContext& ctx);
-
   Catalog catalog_;
 };
 

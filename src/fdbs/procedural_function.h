@@ -11,14 +11,17 @@
 #include <utility>
 #include <vector>
 
+#include "fdbs/eval.h"
 #include "fdbs/table_function.h"
+#include "sql/ast.h"
 
 namespace fedflow::fdbs {
 
 class Database;
 
 /// JDBC-analog handle a procedural body uses to run SQL against the owning
-/// database. Each statement is parsed and executed by the FDBS; an optional
+/// database: SQL text (parsed per statement) or a statement prepared once
+/// with its parameters bound per execution. Either way an optional
 /// per-statement overhead (the "JDBC call") is charged to the context clock.
 class SqlClient {
  public:
@@ -26,13 +29,21 @@ class SqlClient {
   SqlClient(Database* db, ExecContext* ctx, VDuration statement_overhead_us)
       : db_(db), ctx_(ctx), overhead_us_(statement_overhead_us) {}
 
-  /// Executes one SQL statement and returns its result table.
+  /// Parses and executes one SQL statement and returns its result table.
   Result<Table> Query(const std::string& sql);
+
+  /// Executes a prepared SELECT with `params` bound to its `Name.Param`
+  /// references (a PreparedStatement analog); nothing is parsed.
+  Result<Table> Query(const sql::SelectStmt& stmt, const ParamScope& params);
 
   /// Number of statements issued through this client.
   int statements_issued() const { return statements_; }
 
  private:
+  /// Counts and charges one statement; the context it runs in, one UDTF
+  /// nesting level deeper.
+  Result<ExecContext> BeginStatement();
+
   Database* db_;
   ExecContext* ctx_;
   VDuration overhead_us_;

@@ -11,7 +11,6 @@ sim::WarmPoolOptions ToWarmPoolOptions(const ControllerPoolOptions& options) {
   out.max_size = options.max_size == 0 ? 1 : options.max_size;
   out.warm_target = options.warm_target;
   out.per_tenant_quota = options.per_tenant_quota;
-  out.pin_first_slot = true;
   return out;
 }
 

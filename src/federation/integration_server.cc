@@ -11,6 +11,7 @@
 #include "cache/cache_key.h"
 #include "sim/flow_state.h"
 #include "sql/ast.h"
+#include "sql/parser.h"
 
 namespace fedflow::federation {
 
@@ -25,6 +26,26 @@ sim::FlowState LeaseFlow(const ControllerPool::Lease& lease,
   flow.warmth = lease.ledger();
   flow.slot = lease.slot();
   return flow;
+}
+
+/// SELECT * FROM TABLE (name(args...)) AS R, built directly: the arguments
+/// stay Values (literal expressions), so nothing is printed or parsed.
+sql::Statement CallStatement(const std::string& name,
+                             const std::vector<Value>& args) {
+  sql::TableRef call;
+  call.kind = sql::TableRefKind::kTableFunction;
+  call.name = name;
+  call.alias = "R";
+  for (const Value& arg : args) {
+    call.args.push_back(std::make_shared<sql::LiteralExpr>(arg));
+  }
+  sql::SelectItem star;
+  star.is_star = true;
+  sql::Statement stmt;
+  stmt.select = std::make_unique<sql::SelectStmt>();
+  stmt.select->items.push_back(std::move(star));
+  stmt.select->from.push_back(std::move(call));
+  return stmt;
 }
 
 }  // namespace
@@ -169,9 +190,7 @@ Status IntegrationServer::RegisterFederatedFunction(
       case Architecture::kUdtf:
         return udtf_->RegisterFederatedFunction(spec, *fed_plan);
       case Architecture::kJavaUdtf:
-        // The procedural body shares ownership: interpreter and EXPLAIN read
-        // the same cached instance.
-        return java_->RegisterFederatedFunction(spec, fed_plan);
+        return java_->RegisterFederatedFunction(spec, *fed_plan);
     }
     return Status::Internal("bad architecture");
   }();
@@ -197,17 +216,19 @@ Result<Table> IntegrationServer::Query(const std::string& sql) {
 
 Result<IntegrationServer::TimedResult> IntegrationServer::QueryTimed(
     const std::string& sql) {
+  // The free text is parsed once; from here on it runs like a call.
+  FEDFLOW_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
   // Admission: lease a controller (no warmth affinity) for the whole flow.
   // With pool size 1 this always returns the pinned controller. Free-form
   // SQL names no function, so the result reports the default kHot.
   FEDFLOW_ASSIGN_OR_RETURN(ControllerPool::Lease lease,
                            controller_pool_.Checkout("default", ""));
   sim::FlowState flow = LeaseFlow(lease, "default");
-  return RunFlow(flow, sql);
+  return RunFlow(flow, stmt, sql);
 }
 
 Result<IntegrationServer::TimedResult> IntegrationServer::RunFlow(
-    sim::FlowState& flow, const std::string& sql,
+    sim::FlowState& flow, const sql::Statement& stmt, const std::string& sql,
     VDuration* failed_elapsed_us) {
   // One statement, one timeline: the clock and the trace session live for
   // the flow's statement and are reached through the ExecContext.
@@ -233,8 +254,10 @@ Result<IntegrationServer::TimedResult> IntegrationServer::RunFlow(
     // reproduce the breakdown exactly.
     if (tracer_.enabled()) clock.set_observer(&session);
     obs::SpanScope root(&session, "query", obs::Layer::kFdbs);
-    root.SetAttribute("sql", sql);
-    Result<Table> t = db_.Execute(sql, ctx);
+    if (root.id() != 0) {
+      root.SetAttribute("sql", sql.empty() ? stmt.select->ToSql() : sql);
+    }
+    Result<Table> t = db_.Execute(stmt, ctx);
     if (!t.ok()) root.SetStatus(t.status());
     return t;
   }();
@@ -251,17 +274,6 @@ Result<IntegrationServer::TimedResult> IntegrationServer::RunFlow(
   result.elapsed_us = clock.now();
   result.breakdown = clock.breakdown();
   return result;
-}
-
-std::string IntegrationServer::BuildCallSql(const std::string& name,
-                                            const std::vector<Value>& args) {
-  std::string sql = "SELECT * FROM TABLE (" + name + "(";
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (i > 0) sql += ", ";
-    sql += sql::LiteralExpr(args[i]).ToSql();
-  }
-  sql += ")) AS R";
-  return sql;
 }
 
 void IntegrationServer::RecordCallMetrics(const std::string& tenant,
@@ -373,7 +385,7 @@ Result<IntegrationServer::TimedResult> IntegrationServer::RunSagaCall(
   flow.saga = exec.get();
   VDuration failed_elapsed_us = 0;
   Result<TimedResult> result =
-      RunFlow(flow, BuildCallSql(name, args), &failed_elapsed_us);
+      RunFlow(flow, CallStatement(name, args), "", &failed_elapsed_us);
   if (!result.ok()) {
     // Backward recovery: compensate the applied steps in reverse order. The
     // outcome (including the modeled abort cost) is queryable through
@@ -426,7 +438,8 @@ Result<IntegrationServer::TimedResult> IntegrationServer::CallFederatedOnLease(
     RecordCallMetrics(tenant, name, result);
     return result;
   }
-  FEDFLOW_ASSIGN_OR_RETURN(result, RunFlow(flow, BuildCallSql(name, args)));
+  FEDFLOW_ASSIGN_OR_RETURN(result,
+                           RunFlow(flow, CallStatement(name, args), ""));
   result.warmth = warmth;
   FinishCachedCall(warmth, lease.slot(), tenant, name, args, &result);
   RecordCallMetrics(tenant, name, result);

@@ -91,7 +91,8 @@ class IntegrationServer {
   /// kUnavailable when admission fails (pool exhausted).
   Result<TimedResult> QueryTimed(const std::string& sql);
 
-  /// Convenience: SELECT * FROM TABLE(name(args...)) AS R, timed.
+  /// SELECT * FROM TABLE(name(args...)) AS R, timed. The arguments are
+  /// bound as values; the call parses no SQL.
   Result<TimedResult> CallFederated(const std::string& name,
                                     const std::vector<Value>& args);
 
@@ -206,13 +207,16 @@ class IntegrationServer {
   }
 
  private:
-  /// Runs `sql` as one timed and traced statement of `flow` (a lease's
-  /// flow): the clock and trace session are the statement's own. The
+  /// Runs `stmt` as one timed and traced statement of `flow` (a lease's
+  /// flow): the clock and trace session are the statement's own. `sql` is
+  /// the statement's source text for the trace; when empty, a traced
+  /// SELECT is rendered back to SQL (untraced runs print nothing). The
   /// result's warmth is left at its default. On failure `failed_elapsed_us`
   /// (optional) receives the virtual time the failed flow burned — the clock
   /// is lost with the flow otherwise, and the saga abort path accounts it
   /// into the outcome.
-  Result<TimedResult> RunFlow(sim::FlowState& flow, const std::string& sql,
+  Result<TimedResult> RunFlow(sim::FlowState& flow, const sql::Statement& stmt,
+                              const std::string& sql,
                               VDuration* failed_elapsed_us = nullptr);
 
   /// CallFederatedOnLease body for a saga-registered (write-path) function:
@@ -243,10 +247,6 @@ class IntegrationServer {
   void FinishCachedCall(sim::SystemState::Warmth warmth, uint64_t slot,
                         const std::string& tenant, const std::string& name,
                         const std::vector<Value>& args, TimedResult* result);
-
-  /// "SELECT * FROM TABLE (name(args...)) AS R".
-  static std::string BuildCallSql(const std::string& name,
-                                  const std::vector<Value>& args);
 
   /// The call.* counters/histograms (plus the tenant-scoped view for
   /// non-default tenants) recorded after every successful federated call.

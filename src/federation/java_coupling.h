@@ -7,8 +7,6 @@
 #ifndef FEDFLOW_FEDERATION_JAVA_COUPLING_H_
 #define FEDFLOW_FEDERATION_JAVA_COUPLING_H_
 
-#include <memory>
-
 #include "appsys/registry.h"
 #include "fdbs/database.h"
 #include "federation/classify.h"
@@ -30,7 +28,7 @@ class JavaUdtfCoupling {
  public:
   /// `retry` (optional) is the deployment's statement-level retry policy:
   /// like the SQL I-UDTF, the procedural body holds no state between
-  /// attempts, so a retriable failure restarts the whole interpretation.
+  /// attempts, so a retriable failure re-executes the whole body.
   JavaUdtfCoupling(fdbs::Database* db,
                    const appsys::AppSystemRegistry* systems,
                    const sim::LatencyModel* model,
@@ -38,20 +36,19 @@ class JavaUdtfCoupling {
       : db_(db), systems_(systems), model_(model), retry_(retry) {}
 
   /// Compiles the spec into the federated plan (plan/fed_plan.h) and
-  /// registers a procedural I-UDTF interpreting it. The body interprets the
-  /// mapping: non-cyclic plans issue the same single SELECT the SQL I-UDTF
-  /// would contain; cyclic plans run a client-side do-until loop issuing one
-  /// statement per iteration and unioning the results. Optimizer passes are
-  /// opt-in via `options` and shape the captured plan once, at registration.
+  /// registers a procedural I-UDTF over it. The body SELECT is the one the
+  /// SQL I-UDTF would contain, prepared once at registration with the
+  /// parameters (and, when looping, ITERATION) as bound `Name.Param`
+  /// references. Non-cyclic plans execute it once per call; cyclic plans
+  /// run a client-side do-until loop executing it once per iteration and
+  /// unioning the results. Optimizer passes are opt-in via `options` and
+  /// shape the plan once, at registration.
   Status RegisterFederatedFunction(const FederatedFunctionSpec& spec,
                                    const plan::PlanOptions& options = {});
 
-  /// Registers from an already-built plan without recompiling. The body
-  /// shares ownership of `fed_plan` — under the server's plan cache, the
-  /// interpreter and fedplan EXPLAIN read the same instance.
-  Status RegisterFederatedFunction(
-      const FederatedFunctionSpec& spec,
-      std::shared_ptr<const plan::FedPlan> fed_plan);
+  /// Registers from an already-built plan without recompiling.
+  Status RegisterFederatedFunction(const FederatedFunctionSpec& spec,
+                                   const plan::FedPlan& fed_plan);
 
  private:
   fdbs::Database* db_;

@@ -2,25 +2,23 @@
 
 #include <sstream>
 
+#include "sql/ast.h"
+
 namespace fedflow::plan {
 
 using federation::SpecArg;
 using federation::SpecJoin;
 using federation::SpecOutput;
 
+namespace {
+
+/// Renders one call argument (constants as literals, node columns
+/// qualified).
 std::string RenderPlanArg(const SpecArg& arg,
                           const ParamRenderer& render_param) {
   switch (arg.kind) {
     case SpecArg::Kind::kConstant:
-      if (arg.constant.type() == DataType::kVarchar) {
-        std::string escaped;
-        for (char c : arg.constant.AsVarchar()) {
-          if (c == '\'') escaped += "''";
-          else escaped.push_back(c);
-        }
-        return "'" + escaped + "'";
-      }
-      return arg.constant.ToString();
+      return sql::LiteralExpr(arg.constant).ToSql();
     case SpecArg::Kind::kParam:
       return render_param(arg.param);
     case SpecArg::Kind::kNodeColumn:
@@ -29,6 +27,7 @@ std::string RenderPlanArg(const SpecArg& arg,
   return "?";
 }
 
+/// Name of the SQL cast function for a target type; null when SQL has none.
 const char* SqlCastFunctionName(DataType t) {
   switch (t) {
     case DataType::kInt:
@@ -45,6 +44,8 @@ const char* SqlCastFunctionName(DataType t) {
   }
   return nullptr;
 }
+
+}  // namespace
 
 Result<std::string> RenderSelectSql(const FedPlan& plan,
                                     const ParamRenderer& render_param) {

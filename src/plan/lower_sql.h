@@ -1,10 +1,10 @@
 // SQL lowering of the plan IR: renders the body SELECT of a federated
 // function — outputs with casts, lateral TABLE(...) references in plan
-// order, join predicates. Shared by the SQL I-UDTF compiler (parameters
-// rendered DB2-style as "SpecName.Param"), the PSM compiler and the
-// Java/procedural coupling (parameters rendered as literals per call).
-// For a passthrough plan the rendered text is byte-identical to the legacy
-// BuildSpecSelectSql output.
+// order, join predicates. Shared by the SQL I-UDTF compiler, the PSM
+// compiler and the Java/procedural coupling, which all render parameters
+// DB2-style as "SpecName.Param" once, at registration, and bind their
+// values per execution. For a passthrough plan the rendered text is
+// byte-identical to the legacy BuildSpecSelectSql output.
 #ifndef FEDFLOW_PLAN_LOWER_SQL_H_
 #define FEDFLOW_PLAN_LOWER_SQL_H_
 
@@ -19,15 +19,10 @@ namespace fedflow::plan {
 /// Renders a parameter reference inside generated SQL.
 using ParamRenderer = std::function<std::string(const std::string& param)>;
 
-/// Renders one call argument (constants escaped, node columns qualified).
-std::string RenderPlanArg(const federation::SpecArg& arg,
-                          const ParamRenderer& render_param);
-
-/// Name of the SQL cast function for a target type; null when SQL has none.
-const char* SqlCastFunctionName(DataType t);
-
-/// Renders the plan's body SELECT. Looping plans render their body graph
-/// (the caller supplies ITERATION through `render_param`).
+/// Renders the plan's body SELECT: constants as literals
+/// (sql::LiteralExpr::ToSql), parameters through `render_param`, node
+/// columns qualified. Looping plans render their body graph (the caller
+/// supplies ITERATION through `render_param`).
 Result<std::string> RenderSelectSql(const FedPlan& plan,
                                     const ParamRenderer& render_param);
 

@@ -4,7 +4,7 @@
 // for a write-path function, its saga execution. The flow's virtual clock
 // and trace session are not part of it: they live in fdbs::ExecContext, the
 // statement context that points at this struct. The shared warm-resource
-// part lives in resource_pools.h (WarmPool / ResourcePools).
+// part lives in resource_pools.h (WarmPool).
 //
 // Every coupling invocation requires a flow: a call that reaches a coupling
 // without one fails with a Status (federation::RequireFlow).

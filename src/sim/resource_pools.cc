@@ -20,10 +20,8 @@ WarmPool::WarmPool(std::string name, WarmPoolOptions options)
   std::lock_guard<std::mutex> lock(mu_);
   // Eager creation of the pinned slot is plumbing, not a checkout, so it is
   // not counted in stats_.created.
-  if (options_.pin_first_slot) {
-    pinned_slot_ = CreateSlotLocked();
-    slots_[pinned_slot_].pinned = true;
-  }
+  pinned_slot_ = CreateSlotLocked();
+  slots_[pinned_slot_].pinned = true;
 }
 
 Result<WarmPool::Checkout> WarmPool::Acquire(const std::string& tenant,
@@ -242,37 +240,6 @@ size_t WarmPool::IdleCountLocked() const {
     if (!slot.busy) ++idle;
   }
   return idle;
-}
-
-WarmPool* ResourcePools::GetOrCreate(const std::string& name,
-                                     const WarmPoolOptions& options) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = pools_.find(name);
-  if (it == pools_.end()) {
-    it = pools_.emplace(name, std::make_unique<WarmPool>(name, options)).first;
-    it->second->AttachMetrics(metrics_);
-  }
-  return it->second.get();
-}
-
-WarmPool* ResourcePools::Get(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = pools_.find(name);
-  return it == pools_.end() ? nullptr : it->second.get();
-}
-
-void ResourcePools::AttachMetrics(obs::MetricsRegistry* metrics) {
-  std::lock_guard<std::mutex> lock(mu_);
-  metrics_ = metrics;
-  for (auto& [name, pool] : pools_) pool->AttachMetrics(metrics);
-}
-
-std::vector<std::string> ResourcePools::Names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(pools_.size());
-  for (const auto& [name, pool] : pools_) names.push_back(name);
-  return names;
 }
 
 }  // namespace fedflow::sim

@@ -1,12 +1,13 @@
-// Shared warm-resource pools: the cold/warm/hot distinction of the paper's
+// Shared warm-resource pool: the cold/warm/hot distinction of the paper's
 // §4 experiment (one global environment) generalized to a bounded pool of
-// resources, each with its own warmth ledger. A WarmPool manages slots for
-// one resource kind (controllers, pre-booted JVMs, connections); checking a
-// slot out classifies the checkout as cold (a fresh slot had to be created),
+// resources, each with its own warmth ledger. A WarmPool manages the slots
+// of one resource kind (the ControllerPool's controllers); checking a slot
+// out classifies the checkout as cold (a fresh slot had to be created),
 // warm (an existing slot that never ran this function) or hot (the slot ran
-// this function before). Idle slots beyond the warm target are evicted in
-// LRU order — the warm-process-pool policy of FaaS runtimes (pre-boot N,
-// evict LRU), applied to the paper's controller ablation.
+// this function before). Slot 1 is created eagerly and pinned; idle slots
+// beyond the warm target are evicted in LRU order — the warm-process-pool
+// policy of FaaS runtimes (pre-boot N, evict LRU), applied to the paper's
+// controller ablation.
 //
 // Determinism: every selection and eviction decision is ranked by a
 // monotonic use-sequence counter, never by wall time, so a fixed sequence of
@@ -17,7 +18,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -41,14 +41,12 @@ struct WarmPoolOptions {
   /// Concurrent checkouts allowed per tenant; 0 = unlimited. Exhausted
   /// quotas fail the checkout with kUnavailable without touching the pool.
   size_t per_tenant_quota = 0;
-
-  /// Create slot 1 eagerly and never evict it. The pinned slot gives
-  /// single-flow callers a stable "primary" resource whose ledger behaves
-  /// exactly like the legacy global SystemState.
-  bool pin_first_slot = true;
 };
 
-/// A bounded pool of warm slots for one resource kind.
+/// A bounded pool of warm slots for one resource kind. Slot 1 is created
+/// with the pool and never evicted: the pinned slot gives single-flow
+/// callers a stable "primary" resource whose ledger behaves exactly like
+/// the legacy global SystemState.
 class WarmPool {
  public:
   /// Result of one checkout.
@@ -115,7 +113,7 @@ class WarmPool {
   size_t in_use() const;
   Stats stats() const;
 
-  /// Id of the pinned slot (0 when pin_first_slot is false).
+  /// Id of the pinned slot.
   uint64_t pinned_slot() const;
 
  private:
@@ -140,32 +138,6 @@ class WarmPool {
   uint64_t use_seq_ = 0;
   uint64_t pinned_slot_ = 0;
   Stats stats_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-};
-
-/// Named registry of warm pools — the shared half of the single-flow →
-/// pooled-resources split (the per-invocation half is FlowState). One
-/// integration deployment owns one ResourcePools; the conventional pool
-/// names are "controller", "jvm" and "connection".
-class ResourcePools {
- public:
-  /// The pool named `name`, created with `options` on first use. Options of
-  /// an existing pool are left untouched.
-  WarmPool* GetOrCreate(const std::string& name,
-                        const WarmPoolOptions& options = {});
-
-  /// The pool named `name`, or null.
-  WarmPool* Get(const std::string& name);
-
-  /// Attaches `metrics` to every current and future pool.
-  void AttachMetrics(obs::MetricsRegistry* metrics);
-
-  /// Names of existing pools (sorted).
-  std::vector<std::string> Names() const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<WarmPool>> pools_;
   obs::MetricsRegistry* metrics_ = nullptr;
 };
 

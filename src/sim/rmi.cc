@@ -30,7 +30,7 @@ class ResponseStreamSource : public RowSource {
         model_(model),
         on_chunk_(std::move(on_chunk)),
         reader_(buffer_) {
-    // Skip the header; the factory already validated it decodes.
+    // Skip the header; OpenResponseStream already validated it.
     (void)reader_.GetSchema();
     (void)reader_.GetU32();
   }
@@ -98,6 +98,27 @@ class ResponseStreamSource : public RowSource {
   size_t charged_bytes_ = 0;
   bool charged_base_ = false;
 };
+
+/// Opens the chunked decoder over a marshalled response. The header's row
+/// count comes off the wire and sizes the decoder's reserves, so a count the
+/// remaining bytes cannot hold (every row carries at least its 4-byte arity)
+/// is rejected as truncation.
+Result<RowSourcePtr> OpenResponseStream(std::vector<uint8_t> buffer,
+                                        std::vector<size_t> prefix,
+                                        size_t header_bytes,
+                                        size_t batch_size,
+                                        const LatencyModel* model,
+                                        RmiChannel::ChunkCostFn on_chunk) {
+  ByteReader header(buffer);
+  FEDFLOW_ASSIGN_OR_RETURN(Schema schema, header.GetSchema());
+  FEDFLOW_ASSIGN_OR_RETURN(uint32_t num_rows, header.GetU32());
+  if (num_rows > header.remaining() / 4) {
+    return Status::ExecutionError("codec: truncated");
+  }
+  return RowSourcePtr(new ResponseStreamSource(
+      std::move(buffer), std::move(schema), num_rows, std::move(prefix),
+      header_bytes, batch_size, model, std::move(on_chunk)));
+}
 
 /// Status returned for an injected fault.
 Status InjectedStatus(FaultInjector::Fault fault, const std::string& function) {
@@ -313,26 +334,16 @@ Result<RowSourcePtr> RmiChannel::InvokeStreaming(
     prefix.push_back(response.size());
   }
 
-  // Validate the header decodes before handing out the stream.
-  ByteReader check(response.buffer());
-  FEDFLOW_ASSIGN_OR_RETURN(Schema schema, check.GetSchema());
-  FEDFLOW_ASSIGN_OR_RETURN(uint32_t num_rows, check.GetU32());
-
-  std::vector<uint8_t> buffer = response.buffer();
-  return RowSourcePtr(new ResponseStreamSource(
-      std::move(buffer), std::move(schema), num_rows, std::move(prefix),
-      header_bytes, batch_size, model_, std::move(on_chunk)));
+  return OpenResponseStream(response.buffer(), std::move(prefix),
+                            header_bytes, batch_size, model_,
+                            std::move(on_chunk));
 }
 
 Result<RowSourcePtr> RmiChannel::DecodeResponseBuffer(
     std::vector<uint8_t> buffer, size_t batch_size) const {
-  ByteReader check(buffer);
-  FEDFLOW_ASSIGN_OR_RETURN(Schema schema, check.GetSchema());
-  FEDFLOW_ASSIGN_OR_RETURN(uint32_t num_rows, check.GetU32());
   // No cost callback: the prefix sums only feed chunk-cost accounting.
-  return RowSourcePtr(new ResponseStreamSource(std::move(buffer),
-                                               std::move(schema), num_rows, {},
-                                               0, batch_size, model_, nullptr));
+  return OpenResponseStream(std::move(buffer), {}, 0, batch_size, model_,
+                            nullptr);
 }
 
 }  // namespace fedflow::sim

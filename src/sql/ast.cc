@@ -1,5 +1,6 @@
 #include "sql/ast.h"
 
+#include <charconv>
 #include <sstream>
 
 namespace fedflow::sql {
@@ -48,6 +49,18 @@ std::string LiteralExpr::ToSql() const {
       else escaped.push_back(c);
     }
     return "'" + escaped + "'";
+  }
+  if (value_.type() == DataType::kDouble) {
+    // The shortest text that reads back as the same double; a bare integer
+    // ("3") would lex as an INT literal, so it keeps a fraction.
+    char buf[32];
+    const std::to_chars_result printed =
+        std::to_chars(buf, buf + sizeof(buf), value_.AsDouble());
+    std::string text(buf, printed.ptr);
+    if (text.find_first_not_of("-0123456789") == std::string::npos) {
+      text += ".0";
+    }
+    return text;
   }
   return value_.ToString();
 }

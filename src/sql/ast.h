@@ -102,6 +102,9 @@ class LiteralExpr : public Expr {
   explicit LiteralExpr(Value value)
       : Expr(ExprKind::kLiteral), value_(std::move(value)) {}
   const Value& value() const { return value_; }
+  /// The value as SQL literal text, the one printer of a Value as SQL:
+  /// strings quoted with '' escapes, a DOUBLE in the shortest form that
+  /// reads back as the same double and still lexes as a DOUBLE.
   std::string ToSql() const override;
 
  private:
@@ -313,7 +316,7 @@ struct PsmStatement {
   ExprPtr expr;                       ///< kSet value, kIf / kWhile condition
   std::vector<PsmStatement> then_branch;  ///< kIf / kWhile body
   std::vector<PsmStatement> else_branch;  ///< kIf
-  std::unique_ptr<SelectStmt> select;     ///< kReturn / kEmit
+  std::shared_ptr<const SelectStmt> select;  ///< kReturn / kEmit
 };
 
 /// CREATE PROCEDURE ... BEGIN ... END — a PSM stored procedure. Procedures

@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <initializer_list>
 #include <memory>
@@ -21,6 +22,8 @@ namespace {
 /// input is rejected with InvalidArgument before it can exhaust the stack,
 /// here or wherever the tree is later evaluated, rendered or destroyed.
 constexpr int kMaxNesting = 256;
+
+std::atomic<int64_t> g_parse_invocations{0};
 
 template <typename T, typename... Args>
 ExprPtr MakeExpr(Args&&... args) {
@@ -506,14 +509,14 @@ class Parser {
     if (ConsumeKeyword("RETURN")) {
       stmt.kind = PsmStatement::Kind::kReturn;
       FEDFLOW_ASSIGN_OR_RETURN(SelectStmt sel, ParseSelectStmt());
-      stmt.select = std::make_unique<SelectStmt>(std::move(sel));
+      stmt.select = std::make_shared<const SelectStmt>(std::move(sel));
       FEDFLOW_RETURN_NOT_OK(ExpectSymbol(";"));
       return stmt;
     }
     if (ConsumeKeyword("EMIT")) {
       stmt.kind = PsmStatement::Kind::kEmit;
       FEDFLOW_ASSIGN_OR_RETURN(SelectStmt sel, ParseSelectStmt());
-      stmt.select = std::make_unique<SelectStmt>(std::move(sel));
+      stmt.select = std::make_shared<const SelectStmt>(std::move(sel));
       FEDFLOW_RETURN_NOT_OK(ExpectSymbol(";"));
       return stmt;
     }
@@ -798,19 +801,24 @@ class Parser {
 
 }  // namespace
 
+int64_t ParseInvocations() { return g_parse_invocations.load(); }
+
 Result<Statement> Parse(const std::string& input) {
+  g_parse_invocations.fetch_add(1);
   FEDFLOW_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(input));
   Parser parser(std::move(tokens));
   return parser.ParseStatement();
 }
 
 Result<SelectStmt> ParseSelect(const std::string& input) {
+  g_parse_invocations.fetch_add(1);
   FEDFLOW_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(input));
   Parser parser(std::move(tokens));
   return parser.ParseSelectOnly();
 }
 
 Result<ExprPtr> ParseExpression(const std::string& input) {
+  g_parse_invocations.fetch_add(1);
   FEDFLOW_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(input));
   Parser parser(std::move(tokens));
   return parser.ParseExpressionOnly();

@@ -330,12 +330,9 @@ namespace {
 
 std::string SourceToFdl(const InputSource& s) {
   switch (s.kind) {
-    case InputSource::Kind::kConstant: {
-      if (s.constant.type() == DataType::kVarchar) {
-        return "'" + s.constant.AsVarchar() + "'";
-      }
-      return s.constant.ToString();
-    }
+    case InputSource::Kind::kConstant:
+      // Read back by ParseSource as a SQL expression.
+      return sql::LiteralExpr(s.constant).ToSql();
     case InputSource::Kind::kProcessInput:
       return "INPUT." + s.param;
     case InputSource::Kind::kActivityOutput:

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <vector>
+
 #include "common/codec.h"
 #include "common/vclock.h"
 #include "sim/latency.h"
@@ -403,6 +407,30 @@ TEST(RmiStreamingEdgeTest, WireSizedRowAritySurfacesAsStatus) {
   ASSERT_TRUE(columns.ok());
   EXPECT_EQ((*columns)->NextColumns().status().code(),
             StatusCode::kExecutionError);
+}
+
+TEST(RmiStreamingEdgeTest, WireSizedRowCountSurfacesAsStatus) {
+  LatencyModel model;
+  RmiChannel rmi(&model);
+  // One INT column; the header claims 2^32 - 1 rows and carries none. Every
+  // row needs at least its 4-byte arity, so the claim fails the header check
+  // before any consumer could size a reserve by it.
+  const std::vector<uint8_t> buffer = EncodeResponse(0, 0xFFFFFFFF);
+  ASSERT_EQ(buffer.size(), 14u);
+  const std::vector<std::function<Status(RowSource&)>> consumers = {
+      [](RowSource& s) { return DrainToTable(s).status(); },
+      [](RowSource& s) { return s.Next().status(); },
+      [](RowSource& s) { return s.NextColumns().status(); },
+  };
+  // SIZE_MAX is what ExecContext::batch_size = 0 becomes.
+  for (size_t batch_size : {size_t{8}, SIZE_MAX}) {
+    for (const auto& consume : consumers) {
+      auto decoded = rmi.DecodeResponseBuffer(buffer, batch_size);
+      const Status status =
+          decoded.ok() ? consume(**decoded) : decoded.status();
+      EXPECT_EQ(status.code(), StatusCode::kExecutionError) << status;
+    }
+  }
 }
 
 TEST(RmiStreamingEdgeTest, WellFormedBufferDecodesAllRows) {

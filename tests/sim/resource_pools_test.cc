@@ -189,18 +189,5 @@ TEST(WarmPoolTest, GaugesTrackOccupancy) {
   EXPECT_EQ(metrics.counter("pool.ctrl.created"), 1u);
 }
 
-TEST(ResourcePoolsTest, RegistryCreatesOnceAndListsSorted) {
-  ResourcePools pools;
-  WarmPool* jvm = pools.GetOrCreate("jvm", Opts(4));
-  WarmPool* conn = pools.GetOrCreate("connection", Opts(8));
-  ASSERT_NE(jvm, nullptr);
-  ASSERT_NE(conn, nullptr);
-  // Second GetOrCreate returns the same pool; new options are ignored.
-  EXPECT_EQ(pools.GetOrCreate("jvm", Opts(99)), jvm);
-  EXPECT_EQ(jvm->options().max_size, 4u);
-  EXPECT_EQ(pools.Get("nope"), nullptr);
-  EXPECT_EQ(pools.Names(), (std::vector<std::string>{"connection", "jvm"}));
-}
-
 }  // namespace
 }  // namespace fedflow::sim

@@ -326,5 +326,29 @@ INSTANTIATE_TEST_SUITE_P(
         "SELECT 'it''s' || x FROM t",
         "SELECT -1 + 2 * 3 FROM t WHERE NOT (a = b OR c <> d)"));
 
+// A literal printed by LiteralExpr::ToSql parses back to the same value and
+// type. Six fixed decimals would read these doubles back as 1003,
+// 123456789.123457, 0 and (the one survivor) 3.0.
+TEST(LiteralRoundTripTest, ToSqlParsesBackToTheSameValueAndType) {
+  for (const Value& v :
+       {Value::Double(1002.9999999), Value::Double(123456789.123456789),
+        Value::Double(1e-300), Value::Double(3.0), Value::Double(0.1),
+        Value::Double(1e300), Value::Int(7), Value::BigInt(int64_t{1} << 40),
+        Value::Varchar("it's"), Value::Bool(true), Value::Null()}) {
+    const std::string text = LiteralExpr(v).ToSql();
+    SelectStmt s = MustSelect("SELECT " + text);
+    ASSERT_EQ(s.items.size(), 1u) << text;
+    ASSERT_EQ(s.items[0].expr->kind(), ExprKind::kLiteral) << text;
+    const Value& back =
+        static_cast<const LiteralExpr&>(*s.items[0].expr).value();
+    EXPECT_EQ(back.type(), v.type()) << text;
+    if (v.type() == DataType::kDouble) {
+      EXPECT_EQ(back.AsDouble(), v.AsDouble()) << text;
+    } else if (!v.is_null()) {
+      EXPECT_TRUE(back.SqlEquals(v)) << text;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fedflow::sql

@@ -191,6 +191,25 @@ TEST(FdlTest, RoundTripThroughToFdl) {
   EXPECT_EQ(ToFdl((*reparsed)[0]), emitted);
 }
 
+TEST(FdlTest, RoundTripKeepsConstantsExactly) {
+  auto procs = ParseFdl(R"(
+PROCESS P (x INT)
+  PROGRAM A SYSTEM s FUNCTION f IN ('it''s', 1002.9999999, -5, INPUT.x)
+  OUTPUT A
+END
+)");
+  ASSERT_TRUE(procs.ok()) << procs.status();
+  std::string emitted = ToFdl((*procs)[0]);
+  auto reparsed = ParseFdl(emitted);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status() << "\n" << emitted;
+  auto a = (*reparsed)[0].FindActivity("A");
+  ASSERT_TRUE(a.ok());
+  ASSERT_EQ((*a)->inputs.size(), 4u);
+  EXPECT_EQ((*a)->inputs[0].constant.AsVarchar(), "it's");
+  EXPECT_EQ((*a)->inputs[1].constant.AsDouble(), 1002.9999999) << emitted;
+  EXPECT_EQ((*a)->inputs[2].constant.AsInt(), -5);
+}
+
 TEST(FdlTest, RoundTripWithBlocksEmitsSubProcessFirst) {
   auto procs = ParseFdl(R"(
 PROCESS Body (ITERATION INT)
