@@ -453,6 +453,16 @@ ColumnBatch ColumnBatch::FromRows(const Schema& schema,
   return batch;
 }
 
+ColumnBatch ColumnBatch::FromColumns(const Schema& schema,
+                                     std::vector<ColumnData> columns,
+                                     size_t rows) {
+  ColumnBatch batch;
+  batch.schema_ = schema;
+  batch.columns_ = std::move(columns);
+  batch.num_rows_ = rows;
+  return batch;
+}
+
 ColumnBatch ColumnBatch::FromRowsCopy(const Schema& schema,
                                       const std::vector<Row>& rows) {
   ColumnBatch batch(schema);

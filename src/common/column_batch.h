@@ -54,6 +54,49 @@ class ColumnData {
   /// Moves string payloads instead of copying them.
   void AppendValueMove(Value&& v);
   void AppendNull();
+  /// Typed appends, each equal to AppendValueMove(Value::X(v)) minus the
+  /// Value: a typed column of that type takes the payload directly, any
+  /// other column boxes it or degrades exactly as AppendValueMove would.
+  void AppendBool(bool v) {
+    if (IsTyped(DataType::kBool)) {
+      nulls_.push_back(0);
+      bools_.push_back(v ? 1 : 0);
+    } else {
+      AppendValueMove(Value::Bool(v));
+    }
+  }
+  void AppendInt(int32_t v) {
+    if (IsTyped(DataType::kInt)) {
+      nulls_.push_back(0);
+      ints_.push_back(v);
+    } else {
+      AppendValueMove(Value::Int(v));
+    }
+  }
+  void AppendBigInt(int64_t v) {
+    if (IsTyped(DataType::kBigInt)) {
+      nulls_.push_back(0);
+      bigints_.push_back(v);
+    } else {
+      AppendValueMove(Value::BigInt(v));
+    }
+  }
+  void AppendDouble(double v) {
+    if (IsTyped(DataType::kDouble)) {
+      nulls_.push_back(0);
+      doubles_.push_back(v);
+    } else {
+      AppendValueMove(Value::Double(v));
+    }
+  }
+  void AppendVarchar(std::string&& v) {
+    if (IsTyped(DataType::kVarchar)) {
+      nulls_.push_back(0);
+      strings_.push_back(std::move(v));
+    } else {
+      AppendValueMove(Value::Varchar(std::move(v)));
+    }
+  }
   /// Appends `n` copies of `v` (the partial-row side of the lateral splice).
   void AppendValueRepeated(const Value& v, size_t n);
   /// Appends rows [begin, end) of `src`.
@@ -95,6 +138,8 @@ class ColumnData {
   Result<ColumnData> CastTo(DataType target) const;
 
  private:
+  /// True when values of `type` go straight into typed storage.
+  bool IsTyped(DataType type) const { return !generic_ && type_ == type; }
   /// Converts typed storage to the generic representation.
   void Degrade();
   /// Pushes a placeholder into the active storage (null positions).
@@ -130,6 +175,10 @@ class ColumnBatch {
   /// Copying variant (the source rows stay intact).
   static ColumnBatch FromRowsCopy(const Schema& schema,
                                   const std::vector<Row>& rows);
+  /// Adopts `columns`, one per schema column, each `rows` long (the RMI
+  /// response decoder fills them straight off the wire).
+  static ColumnBatch FromColumns(const Schema& schema,
+                                 std::vector<ColumnData> columns, size_t rows);
 
   /// Converts back to row form, copying values.
   std::vector<Row> ToRows() const;

@@ -107,7 +107,8 @@ class AccessUdtf : public fdbs::TableFunction {
   /// The RMI handler of a read call: runs under the serve-side RMI span and
   /// dispatches through the flow's controller, giving the local-function
   /// execution inside the application system its own appsys-layer span.
-  /// `dispatched` receives the dispatch result (costs + table).
+  /// `dispatched` receives the dispatch costs; the table moves out to the
+  /// RMI channel.
   sim::RmiChannel::Handler DispatchHandler(
       Controller* controller, obs::TraceSession* trace,
       Controller::DispatchResult* dispatched) const {
@@ -123,7 +124,7 @@ class AccessUdtf : public fdbs::TableFunction {
         return d.status();
       }
       *dispatched = std::move(*d);
-      return dispatched->table;
+      return std::move(dispatched->table);
     };
   }
 
@@ -296,7 +297,7 @@ class AccessUdtf : public fdbs::TableFunction {
         local.SetStatus(lost);
         return lost;
       }
-      return dispatched.table;
+      return std::move(dispatched.table);
     };
     Result<Table> out = channel.Invoke(name_, wire_args, handler, &costs,
                                        trace);

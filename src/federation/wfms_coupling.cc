@@ -157,7 +157,7 @@ Result<RowSourcePtr> WfmsWrapper::ExecuteStream(const std::string& function,
         fn, remote_args, invoker, &rec.ckpt, engine_trace);
     if (!run.ok()) return run.status();
     process_result = std::move(*run);
-    return process_result.output;
+    return std::move(process_result.output);
   };
   sim::RmiChannel::ChunkCostFn on_chunk;
   if (clock != nullptr) {

@@ -1,31 +1,32 @@
 #include "sim/rmi.h"
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 
 #include "common/codec.h"
+#include "common/column_batch.h"
 
 namespace fedflow::sim {
 
 namespace {
 
-/// Decodes a marshalled response buffer chunk by chunk. `prefix_[i]` is the
-/// cumulative buffer size after encoding row i; charging
-/// MarshalCost(new cursor) - MarshalCost(old cursor) per chunk makes the
-/// total exactly equal the one-shot MarshalCost of the whole buffer, integer
-/// division notwithstanding.
+/// Decodes a marshalled response buffer chunk by chunk. Next() decodes rows;
+/// NextColumns() decodes each value straight into the typed column vectors,
+/// with no Row in between. Every row must carry exactly the schema's width
+/// of values. Chunk costs telescope over the reader's cursor: charging
+/// MarshalCost(cursor after the chunk) - MarshalCost(cursor before) makes
+/// the total exactly equal the one-shot MarshalCost of the whole buffer,
+/// integer division notwithstanding.
 class ResponseStreamSource : public RowSource {
  public:
   ResponseStreamSource(std::vector<uint8_t> buffer, Schema schema,
-                       size_t num_rows, std::vector<size_t> prefix,
-                       size_t header_bytes, size_t batch_size,
+                       size_t num_rows, size_t batch_size,
                        const LatencyModel* model,
                        RmiChannel::ChunkCostFn on_chunk)
       : buffer_(std::move(buffer)),
         schema_(std::move(schema)),
         num_rows_(num_rows),
-        prefix_(std::move(prefix)),
-        header_bytes_(header_bytes),
         batch_size_(batch_size),
         model_(model),
         on_chunk_(std::move(on_chunk)),
@@ -41,27 +42,27 @@ class ResponseStreamSource : public RowSource {
     RowBatch batch;
     const size_t take = std::min(batch_size_, num_rows_ - next_row_);
     batch.rows.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      FEDFLOW_ASSIGN_OR_RETURN(Row row, reader_.GetRow());
-      batch.rows.push_back(std::move(row));
-    }
+    FEDFLOW_RETURN_NOT_OK(
+        reader_.GetRows(take, schema_.num_columns(), batch.rows));
     ChargeChunk(next_row_ + take);
     return batch;
   }
 
-  /// Columnar variant: decodes the same chunk (the wire format is row-major)
-  /// straight into a column batch. Virtual-time charges are identical to
-  /// Next() — the chunk boundary, not the batch layout, determines the cost.
+  /// Columnar variant: the same chunk (the wire format is row-major) and the
+  /// same charges, but each value's tag and payload go straight into its
+  /// column. The batch equals ColumnBatch::FromRows over Next()'s rows,
+  /// degraded columns included.
   Result<ColumnBatch> NextColumns() override {
     const size_t take = std::min(batch_size_, num_rows_ - next_row_);
-    std::vector<Row> rows;
-    rows.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      FEDFLOW_ASSIGN_OR_RETURN(Row row, reader_.GetRow());
-      rows.push_back(std::move(row));
+    std::vector<ColumnData> columns;
+    columns.reserve(schema_.num_columns());
+    for (const Column& c : schema_.columns()) {
+      columns.emplace_back(c.type);
+      columns.back().Reserve(take);
     }
+    FEDFLOW_RETURN_NOT_OK(reader_.GetRowsInto(take, columns));
     ChargeChunk(next_row_ + take);
-    return ColumnBatch::FromRows(schema_, std::move(rows));
+    return ColumnBatch::FromColumns(schema_, std::move(columns), take);
   }
 
   std::optional<size_t> SizeHint() const override {
@@ -74,22 +75,20 @@ class ResponseStreamSource : public RowSource {
   void ChargeChunk(size_t end_row) {
     next_row_ = end_row;
     if (!on_chunk_) return;
-    const size_t cum = end_row == 0 ? header_bytes_ : prefix_[end_row - 1];
+    const size_t consumed = reader_.position();
     VDuration cost =
-        model_->MarshalCost(cum) - model_->MarshalCost(charged_bytes_);
+        model_->MarshalCost(consumed) - model_->MarshalCost(charged_bytes_);
     if (!charged_base_) {
       cost += model_->rmi_return_base_us;
       charged_base_ = true;
     }
-    charged_bytes_ = cum;
+    charged_bytes_ = consumed;
     if (cost > 0) on_chunk_(cost);
   }
 
   std::vector<uint8_t> buffer_;
   Schema schema_;
   size_t num_rows_;
-  std::vector<size_t> prefix_;
-  size_t header_bytes_;
   size_t batch_size_;
   const LatencyModel* model_;
   RmiChannel::ChunkCostFn on_chunk_;
@@ -100,24 +99,23 @@ class ResponseStreamSource : public RowSource {
 };
 
 /// Opens the chunked decoder over a marshalled response. The header's row
-/// count comes off the wire and sizes the decoder's reserves, so a count the
-/// remaining bytes cannot hold (every row carries at least its 4-byte arity)
-/// is rejected as truncation.
+/// count comes off the wire and sizes the decoder's reserves (rows, and
+/// each column's vectors), so a count the remaining bytes cannot hold is
+/// rejected as truncation: every row carries its 4-byte arity and a tag per
+/// schema column.
 Result<RowSourcePtr> OpenResponseStream(std::vector<uint8_t> buffer,
-                                        std::vector<size_t> prefix,
-                                        size_t header_bytes,
                                         size_t batch_size,
                                         const LatencyModel* model,
                                         RmiChannel::ChunkCostFn on_chunk) {
   ByteReader header(buffer);
   FEDFLOW_ASSIGN_OR_RETURN(Schema schema, header.GetSchema());
   FEDFLOW_ASSIGN_OR_RETURN(uint32_t num_rows, header.GetU32());
-  if (num_rows > header.remaining() / 4) {
+  if (num_rows > header.remaining() / (4 + schema.num_columns())) {
     return Status::ExecutionError("codec: truncated");
   }
   return RowSourcePtr(new ResponseStreamSource(
-      std::move(buffer), std::move(schema), num_rows, std::move(prefix),
-      header_bytes, batch_size, model, std::move(on_chunk)));
+      std::move(buffer), std::move(schema), num_rows, batch_size, model,
+      std::move(on_chunk)));
 }
 
 /// Status returned for an injected fault.
@@ -176,14 +174,10 @@ class RmiSpanGuard {
   /// wire costs are computed on the payload size alone, so the context rides
   /// out-of-band (the shape of a traceparent header) and traced runs charge
   /// exactly what untraced runs charge.
-  void OpenClient(const std::string& function, bool streaming,
-                  ByteWriter& request) {
+  void OpenClient(const std::string& function, ByteWriter& request) {
     if (trace_ == nullptr) return;
     client_ = trace_->tracer()->StartSpan("rmi:" + function, obs::Layer::kRmi,
                                           trace_->current(), Now());
-    if (streaming) {
-      trace_->tracer()->SetAttribute(client_, "streaming", "true");
-    }
     obs::TraceContext ctx = trace_->tracer()->ContextOf(client_);
     request.PutI64(static_cast<int64_t>(ctx.trace_id));
     request.PutI64(static_cast<int64_t>(ctx.span_id));
@@ -219,21 +213,21 @@ class RmiSpanGuard {
   Status status_;
 };
 
-/// The request leg + handler execution shared by Invoke and InvokeStreaming:
-/// marshal, decode on the callee side (including any propagated trace
-/// context), consult the fault injector, run the handler under the server
-/// span. `request_us_out` receives the modeled request-leg cost.
+/// The request leg + handler execution: marshal, decode on the callee side
+/// (including any propagated trace context), consult the fault injector, run
+/// the handler under the server span. `request_us_out` receives the modeled
+/// request-leg cost.
 Result<Table> ServeAttempt(const LatencyModel* model, FaultInjector* faults,
                            const std::string& function,
                            const std::vector<Value>& args,
-                           const RmiChannel::Handler& handler, bool streaming,
+                           const RmiChannel::Handler& handler,
                            RmiChannel::CallCosts* costs, RmiSpanGuard& guard,
                            VDuration* request_us_out) {
   ByteWriter request;
   request.PutString(function);
   request.PutRow(args);
   const size_t payload_bytes = request.size();
-  guard.OpenClient(function, streaming, request);
+  guard.OpenClient(function, request);
 
   // Unmarshal on the callee side.
   ByteReader reader(request.buffer());
@@ -283,25 +277,15 @@ Result<Table> RmiChannel::Invoke(const std::string& function,
                                  const std::vector<Value>& args,
                                  const Handler& handler, CallCosts* costs,
                                  obs::TraceSession* trace) const {
-  RmiSpanGuard guard(trace);
-  VDuration request_us = 0;
+  VDuration return_us = 0;
   FEDFLOW_ASSIGN_OR_RETURN(
-      Table result, ServeAttempt(model_, faults_, function, args, handler,
-                                 /*streaming=*/false, costs, guard,
-                                 &request_us));
-
-  // Marshal the response and unmarshal it on the caller side.
-  ByteWriter response;
-  response.PutTable(result);
-  ByteReader response_reader(response.buffer());
-  FEDFLOW_ASSIGN_OR_RETURN(Table reconstructed, response_reader.GetTable());
-
-  if (costs != nullptr) {
-    costs->call_us = request_us;
-    costs->return_us =
-        model_->rmi_return_base_us + model_->MarshalCost(response.size());
-  }
-  return reconstructed;
+      RowSourcePtr source,
+      InvokeStreaming(function, args, handler, SIZE_MAX, costs,
+                      [&return_us](VDuration cost) { return_us += cost; },
+                      trace));
+  FEDFLOW_ASSIGN_OR_RETURN(Table result, DrainToTable(*source));
+  if (costs != nullptr) costs->return_us = return_us;
+  return result;
 }
 
 Result<RowSourcePtr> RmiChannel::InvokeStreaming(
@@ -310,40 +294,24 @@ Result<RowSourcePtr> RmiChannel::InvokeStreaming(
     ChunkCostFn on_chunk, obs::TraceSession* trace) const {
   RmiSpanGuard guard(trace);
   VDuration request_us = 0;
-  FEDFLOW_ASSIGN_OR_RETURN(
-      Table result, ServeAttempt(model_, faults_, function, args, handler,
-                                 /*streaming=*/true, costs, guard,
-                                 &request_us));
+  FEDFLOW_ASSIGN_OR_RETURN(Table result,
+                           ServeAttempt(model_, faults_, function, args,
+                                        handler, costs, guard, &request_us));
 
   if (costs != nullptr) {
     costs->call_us = request_us;
     costs->return_us = 0;  // the response leg arrives through on_chunk
   }
 
-  // Marshal the response exactly as PutTable would (same byte layout, so the
-  // total wire size equals the non-streaming path's), recording the buffer
-  // size at every row boundary for the per-chunk cost telescope.
   ByteWriter response;
-  response.PutSchema(result.schema());
-  response.PutU32(static_cast<uint32_t>(result.num_rows()));
-  const size_t header_bytes = response.size();
-  std::vector<size_t> prefix;
-  prefix.reserve(result.num_rows());
-  for (const Row& row : result.rows()) {
-    response.PutRow(row);
-    prefix.push_back(response.size());
-  }
-
-  return OpenResponseStream(response.buffer(), std::move(prefix),
-                            header_bytes, batch_size, model_,
-                            std::move(on_chunk));
+  response.PutTable(result);
+  return OpenResponseStream(std::move(response).TakeBuffer(), batch_size,
+                            model_, std::move(on_chunk));
 }
 
 Result<RowSourcePtr> RmiChannel::DecodeResponseBuffer(
     std::vector<uint8_t> buffer, size_t batch_size) const {
-  // No cost callback: the prefix sums only feed chunk-cost accounting.
-  return OpenResponseStream(std::move(buffer), {}, 0, batch_size, model_,
-                            nullptr);
+  return OpenResponseStream(std::move(buffer), batch_size, model_, nullptr);
 }
 
 }  // namespace fedflow::sim

@@ -42,11 +42,11 @@ class RmiChannel {
     VDuration return_us = 0;  ///< response (or error) marshal + unmarshal
   };
 
-  /// Invokes `handler` "remotely": marshals `args`, unmarshals on the callee
-  /// side, runs the handler, round-trips the result table the same way.
-  /// Returns the reconstructed result; `costs` (optional) receives the
-  /// modeled wire costs — on failure the request leg plus the error-response
-  /// leg, so failed attempts are never free.
+  /// Invokes `handler` "remotely" and materializes its result: exactly
+  /// InvokeStreaming drained in one chunk, with that chunk's cost in
+  /// `costs->return_us` — there is one marshal path. On failure `costs`
+  /// (optional) receives the request leg plus the error-response leg, so
+  /// failed attempts are never free.
   ///
   /// `trace` (optional) activates trace-context propagation: the client call
   /// span's identity is marshalled into the request after the payload, the
@@ -63,15 +63,18 @@ class RmiChannel {
   /// Receives the modeled wire cost of one response chunk as it is pulled.
   using ChunkCostFn = std::function<void(VDuration)>;
 
-  /// Streaming variant of Invoke: the request round-trip is unchanged (the
-  /// handler runs eagerly, `costs->call_us` receives the request cost), but
-  /// the response is decoded and handed to the caller in chunks of
-  /// `batch_size` rows. `on_chunk` (optional) is called with each chunk's
-  /// wire cost as it is pulled; chunk costs telescope over the cumulative
-  /// marshalled size, so a fully drained stream charges exactly Invoke's
-  /// return_us — the base cost and the response header ride on the first
-  /// chunk. On success `costs->return_us` stays 0 (the response leg arrives
-  /// through on_chunk); on failure both legs are filled like Invoke's.
+  /// Marshals `args`, unmarshals them on the callee side and runs the
+  /// handler eagerly (`costs->call_us` receives the request cost). The
+  /// handler's table is encoded into one buffer that moves into the
+  /// returned stream, which decodes it `batch_size` rows at a time —
+  /// NextColumns() straight into typed columns. `on_chunk` (optional) is
+  /// called with each chunk's wire cost as it is pulled. Chunk costs
+  /// telescope over the decoder's cursor: the bytes consumed after row i
+  /// equal the encoder's size after row i, so a fully drained stream charges
+  /// base + MarshalCost(buffer size), the base and the response header
+  /// riding on the first chunk. On success `costs->return_us` stays 0 (the
+  /// response leg arrives through on_chunk); on failure both legs are
+  /// filled. A row whose arity is not the schema's width fails the pull.
   Result<RowSourcePtr> InvokeStreaming(const std::string& function,
                                        const std::vector<Value>& args,
                                        const Handler& handler,
@@ -79,10 +82,11 @@ class RmiChannel {
                                        ChunkCostFn on_chunk,
                                        obs::TraceSession* trace = nullptr) const;
 
-  /// Test seam: wraps a raw marshalled response buffer in the streaming
-  /// decoder without running a handler and without charging costs. Malformed
-  /// buffers (truncated rows, inflated row counts) must surface as Status
-  /// from the header check or from Next(), never as UB.
+  /// Test seam: wraps a raw marshalled response buffer in InvokeStreaming's
+  /// decoder without running a handler and without charging costs.
+  /// Malformed buffers (truncated rows, inflated row counts, row arities
+  /// other than the schema's width) must surface as Status from the header
+  /// check or from Next()/NextColumns(), never as UB.
   Result<RowSourcePtr> DecodeResponseBuffer(std::vector<uint8_t> buffer,
                                             size_t batch_size) const;
 

@@ -13,10 +13,13 @@ namespace fedflow {
 namespace {
 
 TEST(ThreadPoolTest, ExecutesAllSubmittedTasks) {
-  ThreadPool pool(4);
   std::atomic<int> counter{0};
   std::mutex mu;
   std::condition_variable cv;
+  // Declared after mu and cv so it is destroyed first: the waiter can see
+  // the last increment before that task locks mu to notify, and the pool's
+  // destructor joins the task before mu and cv go away.
+  ThreadPool pool(4);
   const int kTasks = 100;
   for (int i = 0; i < kTasks; ++i) {
     pool.Submit([&] {

@@ -433,6 +433,36 @@ TEST(RmiStreamingEdgeTest, WireSizedRowCountSurfacesAsStatus) {
   }
 }
 
+TEST(RmiStreamingEdgeTest, RowArityOtherThanSchemaWidthSurfacesAsStatus) {
+  LatencyModel model;
+  RmiChannel rmi(&model);
+  Schema schema;
+  schema.AddColumn("a", DataType::kInt);
+  schema.AddColumn("b", DataType::kInt);
+  const std::vector<std::function<Status(RowSource&)>> consumers = {
+      [](RowSource& s) { return DrainToTable(s).status(); },
+      [](RowSource& s) { return s.Next().status(); },
+      [](RowSource& s) { return s.NextColumns().status(); },
+  };
+  // One row of `arity` INT values under a 2-column schema: a narrower row
+  // must not be read past its end, a wider one must not pass as OK.
+  for (size_t arity : {size_t{1}, size_t{3}}) {
+    ByteWriter w;
+    w.PutSchema(schema);
+    w.PutU32(1);
+    w.PutRow(Row(arity, Value::Int(7)));
+    for (size_t batch_size : {size_t{8}, SIZE_MAX}) {
+      for (const auto& consume : consumers) {
+        auto decoded = rmi.DecodeResponseBuffer(w.buffer(), batch_size);
+        ASSERT_TRUE(decoded.ok()) << "header still decodes";
+        const Status status = consume(**decoded);
+        EXPECT_EQ(status.code(), StatusCode::kExecutionError) << status;
+        EXPECT_EQ(status.message(), "codec: row arity mismatch");
+      }
+    }
+  }
+}
+
 TEST(RmiStreamingEdgeTest, WellFormedBufferDecodesAllRows) {
   LatencyModel model;
   RmiChannel rmi(&model);
