@@ -1,10 +1,10 @@
 #include "plan/lower_wfms.h"
 
 #include <set>
-#include <unordered_map>
 
 #include "common/strings.h"
 #include "sql/parser.h"
+#include "wfms/helpers.h"
 
 namespace fedflow::plan {
 
@@ -36,12 +36,12 @@ InputSource SpecArgToInput(const SpecArg& arg) {
 wfms::HelperFn MakeSingleTableResultHelper(
     std::vector<SpecOutput> outputs, Schema result_schema) {
   return [outputs = std::move(outputs), result_schema = std::move(
-              result_schema)](const std::vector<Table>& inputs)
+              result_schema)](const std::vector<const Table*>& inputs)
              -> Result<Table> {
     if (inputs.size() != 1) {
       return Status::InvalidArgument("result helper expects 1 input");
     }
-    const Table& in = inputs[0];
+    const Table& in = *inputs[0];
     std::vector<size_t> idx;
     for (const SpecOutput& out : outputs) {
       FEDFLOW_ASSIGN_OR_RETURN(size_t i, in.schema().FindColumn(out.column));
@@ -58,51 +58,17 @@ wfms::HelperFn MakeSingleTableResultHelper(
   };
 }
 
-/// Positional hash join of exactly two inputs on key columns given by index
-/// (column names may repeat across join chains, so names are unreliable).
-wfms::HelperFn MakeIndexJoinHelper(size_t left_index, size_t right_index) {
-  return [left_index, right_index](
-             const std::vector<Table>& inputs) -> Result<Table> {
-    if (inputs.size() != 2) {
-      return Status::InvalidArgument("join helper expects 2 inputs");
-    }
-    const Table& left = inputs[0];
-    const Table& right = inputs[1];
-    if (left_index >= left.schema().num_columns() ||
-        right_index >= right.schema().num_columns()) {
-      return Status::Internal("join key index out of range");
-    }
-    std::unordered_multimap<size_t, size_t> index;
-    index.reserve(right.num_rows());
-    for (size_t r = 0; r < right.num_rows(); ++r) {
-      index.emplace(right.rows()[r][right_index].Hash(), r);
-    }
-    Table out(left.schema().Concat(right.schema()));
-    for (const Row& lrow : left.rows()) {
-      auto [lo, hi] = index.equal_range(lrow[left_index].Hash());
-      for (auto it = lo; it != hi; ++it) {
-        const Row& rrow = right.rows()[it->second];
-        if (!lrow[left_index].SqlEquals(rrow[right_index])) continue;
-        Row combined = lrow;
-        combined.insert(combined.end(), rrow.begin(), rrow.end());
-        out.AppendRowUnchecked(std::move(combined));
-      }
-    }
-    return out;
-  };
-}
-
 /// Builds a positional projector: picks columns of the single input by index
 /// (used after join chains, where column names may be ambiguous).
 wfms::HelperFn MakeIndexProjectHelper(std::vector<size_t> indices,
                                       Schema result_schema) {
   return [indices = std::move(indices), result_schema = std::move(
-              result_schema)](const std::vector<Table>& inputs)
+              result_schema)](const std::vector<const Table*>& inputs)
              -> Result<Table> {
     if (inputs.size() != 1) {
       return Status::InvalidArgument("result helper expects 1 input");
     }
-    const Table& in = inputs[0];
+    const Table& in = *inputs[0];
     Table result(result_schema);
     for (const Row& r : in.rows()) {
       Row row;
@@ -124,17 +90,17 @@ wfms::HelperFn MakeIndexProjectHelper(std::vector<size_t> indices,
 /// into one row of the output schema.
 wfms::HelperFn MakeConcatResultHelper(Schema result_schema) {
   return [result_schema = std::move(result_schema)](
-             const std::vector<Table>& inputs) -> Result<Table> {
+             const std::vector<const Table*>& inputs) -> Result<Table> {
     if (inputs.size() != result_schema.num_columns()) {
       return Status::InvalidArgument("result helper arity mismatch");
     }
     Row row;
-    for (const Table& in : inputs) {
-      if (in.num_rows() != 1 || in.schema().num_columns() != 1) {
+    for (const Table* in : inputs) {
+      if (in->num_rows() != 1 || in->schema().num_columns() != 1) {
         return Status::ExecutionError(
             "scalar result assembly requires 1x1 inputs");
       }
-      row.push_back(in.rows()[0][0]);
+      row.push_back(in->rows()[0][0]);
     }
     Table result(result_schema);
     FEDFLOW_RETURN_NOT_OK(result.AppendRow(std::move(row)));
@@ -231,8 +197,8 @@ Result<LoweredProcess> LowerGraph(const FedPlan& plan, const std::string& name,
                              right_schema->FindColumn(join.right_column));
 
     std::string helper_name = name + "_join" + std::to_string(j + 1);
-    compiled.helpers.emplace_back(helper_name,
-                                  MakeIndexJoinHelper(left_idx, right_idx));
+    compiled.helpers.emplace_back(
+        helper_name, wfms::MakeIndexJoinHelper(left_idx, right_idx));
     ActivityDef a;
     a.name = "JOIN" + std::to_string(j + 1);
     a.kind = ActivityKind::kHelper;

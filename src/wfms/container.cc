@@ -4,7 +4,8 @@
 
 namespace fedflow::wfms {
 
-void Container::Set(const std::string& name, Table table) {
+void Container::Set(const std::string& name,
+                    std::shared_ptr<const Table> table) {
   for (auto& [slot_name, slot_table] : slots_) {
     if (EqualsIgnoreCase(slot_name, name)) {
       slot_table = std::move(table);
@@ -14,19 +15,14 @@ void Container::Set(const std::string& name, Table table) {
   slots_.emplace_back(name, std::move(table));
 }
 
-Status Container::Append(const std::string& name, Table batch) {
-  for (auto& [slot_name, slot_table] : slots_) {
-    if (EqualsIgnoreCase(slot_name, name)) {
-      return slot_table.AppendTableRows(std::move(batch));
-    }
-  }
-  slots_.emplace_back(name, std::move(batch));
-  return Status::OK();
+void Container::Set(const std::string& name, Table table) {
+  Set(name, std::make_shared<const Table>(std::move(table)));
 }
 
-Result<const Table*> Container::Get(const std::string& name) const {
+Result<std::shared_ptr<const Table>> Container::Get(
+    const std::string& name) const {
   for (const auto& [slot_name, slot_table] : slots_) {
-    if (EqualsIgnoreCase(slot_name, name)) return &slot_table;
+    if (EqualsIgnoreCase(slot_name, name)) return slot_table;
   }
   return Status::NotFound("container slot not found: " + name);
 }

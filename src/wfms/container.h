@@ -1,11 +1,16 @@
 // Workflow data containers. In a production-workflow system (FlowMark /
 // MQSeries Workflow lineage) every activity reads an input container and
 // writes an output container; data connectors move fields between them. Our
-// container holds named slots, each a Table (scalars are 1x1 tables), which
-// uniformly covers scalar parameters and table-valued function results.
+// container holds named slots, each one immutable Table behind a shared
+// handle (scalars are 1x1 tables), which uniformly covers scalar parameters
+// and table-valued function results. A handle is the unit of parameter
+// transfer: the checkpoint, a helper input and a resume share the producing
+// activity's table instead of copying it, and the table stays put on the
+// heap however many slots are added after it.
 #ifndef FEDFLOW_WFMS_CONTAINER_H_
 #define FEDFLOW_WFMS_CONTAINER_H_
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,23 +20,19 @@
 
 namespace fedflow::wfms {
 
-/// Named, ordered collection of tables. Used as the process-instance data
-/// space: one slot per completed activity (its output container) plus the
-/// process input fields.
+/// Named, ordered collection of shared tables. Used as the process-instance
+/// data space: one slot per completed activity (its output container) plus
+/// the process input fields.
 class Container {
  public:
-  /// Sets (or replaces) slot `name`.
+  /// Sets (or replaces) slot `name` to the shared `table`.
+  void Set(const std::string& name, std::shared_ptr<const Table> table);
+
+  /// Sets (or replaces) slot `name`, wrapping `table` in a new handle.
   void Set(const std::string& name, Table table);
 
-  /// Appends `batch`'s rows onto slot `name` (creating the slot from the
-  /// batch when absent). Rows are moved, never copied wholesale — this is
-  /// what lets do-until loops accumulate output without re-copying the
-  /// accumulated table on every iteration. Schema-checked against the
-  /// existing slot.
-  Status Append(const std::string& name, Table batch);
-
-  /// The slot's table; NotFound when absent.
-  Result<const Table*> Get(const std::string& name) const;
+  /// The slot's handle; NotFound when absent.
+  Result<std::shared_ptr<const Table>> Get(const std::string& name) const;
 
   bool Has(const std::string& name) const;
 
@@ -47,7 +48,7 @@ class Container {
                                      const std::string& column);
 
  private:
-  std::vector<std::pair<std::string, Table>> slots_;
+  std::vector<std::pair<std::string, std::shared_ptr<const Table>>> slots_;
 };
 
 }  // namespace fedflow::wfms

@@ -69,8 +69,11 @@ class InstanceRunner : public std::enable_shared_from_this<InstanceRunner> {
   /// Runs one activity, releasing `lock` around its external work.
   void ExecuteActivity(Lock& lock, size_t idx, VTime start);
 
-  /// Resolves one input source. Must hold mu_.
-  Result<Table> ResolveInput(const InputSource& in) const;
+  /// Resolves one input source: a whole-table source is the producing
+  /// activity's shared table itself; only a constant, a process input or a
+  /// column projection builds a new one. Must hold mu_.
+  Result<std::shared_ptr<const Table>> ResolveInput(
+      const InputSource& in) const;
   Result<Value> ResolveInputScalar(const InputSource& in) const;
 
   /// Condition resolver over instance data. Must hold mu_.
@@ -82,8 +85,9 @@ class InstanceRunner : public std::enable_shared_from_this<InstanceRunner> {
   Result<InvokeResult> DoProgram(const ActivityDef& a,
                                  const std::vector<Value>& args,
                                  obs::SpanId span, VTime start);
-  Result<InvokeResult> DoHelper(const ActivityDef& a,
-                                const std::vector<Table>& inputs);
+  Result<InvokeResult> DoHelper(
+      const ActivityDef& a,
+      const std::vector<std::shared_ptr<const Table>>& inputs);
   Result<InvokeResult> DoBlock(const ActivityDef& a,
                                const std::vector<Value>& args, size_t idx,
                                obs::SpanId span, VTime start);
@@ -166,8 +170,8 @@ Result<ProcessResult> InstanceRunner::Run() {
     std::vector<size_t> restored;
     const bool resuming = ckpt_ != nullptr && ckpt_->valid;
     if (resuming) {
-      // Restore persisted state: completed activities keep their outputs and
-      // finish times and are never re-executed.
+      // Restore persisted state: completed activities keep their outputs (the
+      // checkpoint's own handles) and finish times and are never re-executed.
       audit_ = ckpt_->audit;
       for (const InstanceCheckpoint::CompletedActivity& c : ckpt_->completed) {
         Result<size_t> idx = def_.ActivityIndex(c.activity);
@@ -175,6 +179,11 @@ Result<ProcessResult> InstanceRunner::Run() {
           return Status::InvalidArgument(
               "checkpoint names unknown activity " + c.activity +
               " of process " + def_.name);
+        }
+        if (c.output == nullptr) {
+          return Status::InvalidArgument("checkpoint holds no output for "
+                                         "activity " + c.activity +
+                                         " of process " + def_.name);
         }
         states_[*idx].state = AState::kFinished;
         states_[*idx].end = c.end_us;
@@ -267,7 +276,8 @@ Result<ProcessResult> InstanceRunner::Run() {
     return Status::Internal("output activity " + def_.output_activity +
                             " did not finish");
   }
-  FEDFLOW_ASSIGN_OR_RETURN(const Table* out, data_.Get(def_.output_activity));
+  FEDFLOW_ASSIGN_OR_RETURN(std::shared_ptr<const Table> out,
+                           data_.Get(def_.output_activity));
 
   ProcessResult result;
   result.output = *out;
@@ -370,14 +380,17 @@ void InstanceRunner::Fail(const Status& status, size_t idx, VTime t) {
   }
 }
 
-Result<Table> InstanceRunner::ResolveInput(const InputSource& in) const {
+Result<std::shared_ptr<const Table>> InstanceRunner::ResolveInput(
+    const InputSource& in) const {
   switch (in.kind) {
     case InputSource::Kind::kConstant:
-      return Container::WrapScalar("value", in.constant);
+      return std::make_shared<const Table>(
+          Container::WrapScalar("value", in.constant));
     case InputSource::Kind::kProcessInput: {
       for (const auto& [name, value] : inputs_) {
         if (EqualsIgnoreCase(name, in.param)) {
-          return Container::WrapScalar(name, value);
+          return std::make_shared<const Table>(
+              Container::WrapScalar(name, value));
         }
       }
       return Status::NotFound("process input not found: " + in.param);
@@ -389,35 +402,36 @@ Result<Table> InstanceRunner::ResolveInput(const InputSource& in) const {
         // fail with a clear message).
         auto idx = def_.ActivityIndex(in.activity);
         if (idx.ok() && states_[*idx].state == AState::kDead) {
-          return Table();
+          return std::make_shared<const Table>();
         }
       }
-      FEDFLOW_ASSIGN_OR_RETURN(const Table* t, data_.Get(in.activity));
-      if (in.column.empty()) return *t;
+      FEDFLOW_ASSIGN_OR_RETURN(std::shared_ptr<const Table> t,
+                               data_.Get(in.activity));
+      if (in.column.empty()) return t;
       FEDFLOW_ASSIGN_OR_RETURN(size_t idx, t->schema().FindColumn(in.column));
       Schema schema;
       schema.AddColumn(t->schema().column(idx).name,
                        t->schema().column(idx).type);
       Table out(schema);
       for (const Row& r : t->rows()) out.AppendRowUnchecked({r[idx]});
-      return out;
+      return std::make_shared<const Table>(std::move(out));
     }
   }
   return Status::Internal("bad input source kind");
 }
 
 Result<Value> InstanceRunner::ResolveInputScalar(const InputSource& in) const {
-  FEDFLOW_ASSIGN_OR_RETURN(Table t, ResolveInput(in));
-  if (t.schema().num_columns() != 1) {
+  FEDFLOW_ASSIGN_OR_RETURN(std::shared_ptr<const Table> t, ResolveInput(in));
+  if (t->schema().num_columns() != 1) {
     return Status::ExecutionError(
         "scalar input requires a single-column source; specify a column");
   }
-  if (t.num_rows() != 1) {
+  if (t->num_rows() != 1) {
     return Status::ExecutionError(
         "scalar input requires exactly one row, got " +
-        std::to_string(t.num_rows()));
+        std::to_string(t->num_rows()));
   }
-  return t.rows()[0][0];
+  return t->rows()[0][0];
 }
 
 Result<Value> InstanceRunner::ResolveRef(const std::string& qualifier,
@@ -431,14 +445,15 @@ Result<Value> InstanceRunner::ResolveRef(const std::string& qualifier,
     }
   }
   if (!qualifier.empty()) {
-    FEDFLOW_ASSIGN_OR_RETURN(const Table* t, data_.Get(qualifier));
+    FEDFLOW_ASSIGN_OR_RETURN(std::shared_ptr<const Table> t,
+                             data_.Get(qualifier));
     if (t->num_rows() == 0) return Value::Null();
     FEDFLOW_ASSIGN_OR_RETURN(size_t idx, t->schema().FindColumn(name));
     return t->rows()[0][idx];
   }
   // Unqualified, not a process input: search completed activity outputs.
   for (const std::string& slot : data_.Names()) {
-    const Table* t = *data_.Get(slot);
+    const std::shared_ptr<const Table> t = *data_.Get(slot);
     if (t->schema().IndexOf(name).has_value()) {
       if (t->num_rows() == 0) return Value::Null();
       return t->rows()[0][*t->schema().IndexOf(name)];
@@ -450,13 +465,14 @@ Result<Value> InstanceRunner::ResolveRef(const std::string& qualifier,
 void InstanceRunner::ExecuteActivity(Lock& lock, size_t idx, VTime start) {
   const ActivityDef& a = def_.activities[idx];
 
-  // Resolve inputs under the lock (reads shared instance data).
+  // Resolve inputs under the lock (reads shared instance data). The table
+  // handles keep the helper's inputs alive until it returns.
   std::vector<Value> scalar_args;
-  std::vector<Table> table_args;
+  std::vector<std::shared_ptr<const Table>> table_args;
   Status st = Status::OK();
   for (const InputSource& in : a.inputs) {
     if (a.kind == ActivityKind::kHelper) {
-      Result<Table> t = ResolveInput(in);
+      Result<std::shared_ptr<const Table>> t = ResolveInput(in);
       if (!t.ok()) {
         st = t.status();
         break;
@@ -524,11 +540,14 @@ void InstanceRunner::ExecuteActivity(Lock& lock, size_t idx, VTime start) {
     VTime end = start + dur;
     states_[idx].state = AState::kFinished;
     states_[idx].end = end;
+    // The output becomes immutable here: the instance container and the
+    // checkpoint share this one handle.
+    auto output = std::make_shared<const Table>(std::move(work->output));
     if (ckpt_ != nullptr) {
-      // Persist the completion before the output is moved into the instance
-      // container — the paper's WfMS keeps exactly this on stable storage.
+      // Persist the completion — the paper's WfMS keeps exactly this on
+      // stable storage.
       ckpt_->completed.push_back(
-          InstanceCheckpoint::CompletedActivity{a.name, work->output, end});
+          InstanceCheckpoint::CompletedActivity{a.name, output, end});
       audit_.Record(end, AuditEvent::kActivityCheckpointed, a.name, "",
                     static_cast<int>(idx));
       if (act_span != 0) {
@@ -538,7 +557,7 @@ void InstanceRunner::ExecuteActivity(Lock& lock, size_t idx, VTime start) {
       }
       if (opts.metrics != nullptr) opts.metrics->Inc("wfms.checkpoints");
     }
-    data_.Set(a.name, std::move(work->output));
+    data_.Set(a.name, std::move(output));
     if (opts.navigation_cost_us > 0) {
       breakdown_.Add(steps::kWorkflowNavigation, opts.navigation_cost_us);
     }
@@ -570,17 +589,19 @@ Result<InvokeResult> InstanceRunner::DoProgram(const ActivityDef& a,
       obs::TraceHandle{trace_.tracer, span, TraceTime(start)});
 }
 
-Result<InvokeResult> InstanceRunner::DoHelper(const ActivityDef& a,
-                                              const std::vector<Table>& inputs) {
-  HelperFn fn;
-  {
-    auto it = engine_->helpers_.find(ToUpper(a.helper));
-    if (it == engine_->helpers_.end()) {
-      return Status::NotFound("helper not registered: " + a.helper);
-    }
-    fn = it->second;
+Result<InvokeResult> InstanceRunner::DoHelper(
+    const ActivityDef& a,
+    const std::vector<std::shared_ptr<const Table>>& inputs) {
+  auto it = engine_->helpers_.find(ToUpper(a.helper));
+  if (it == engine_->helpers_.end()) {
+    return Status::NotFound("helper not registered: " + a.helper);
   }
-  FEDFLOW_ASSIGN_OR_RETURN(Table out, fn(inputs));
+  std::vector<const Table*> borrowed;
+  borrowed.reserve(inputs.size());
+  for (const std::shared_ptr<const Table>& t : inputs) {
+    borrowed.push_back(t.get());
+  }
+  FEDFLOW_ASSIGN_OR_RETURN(Table out, it->second(borrowed));
   InvokeResult result;
   result.output = std::move(out);
   result.duration = engine_->options_.helper_cost_us;

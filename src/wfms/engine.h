@@ -62,6 +62,9 @@ struct ProcessResult {
 /// containers and audit trail as of the last completed activity, exactly what
 /// the paper credits the WfMS with keeping on persistent storage. Written by
 /// RunRecoverable after every activity completion; consumed by ResumeFrom.
+/// Each persisted output is the same immutable table the instance's container
+/// holds (one shared handle, no copy), and a resume re-seeds the containers
+/// with these handles.
 struct InstanceCheckpoint {
   /// True while a failed instance is waiting to be resumed. A successful run
   /// invalidates the checkpoint.
@@ -70,9 +73,10 @@ struct InstanceCheckpoint {
   std::vector<Value> args;
 
   /// One persisted activity completion (output container + finish time).
+  /// A null `output` is rejected on resume with InvalidArgument.
   struct CompletedActivity {
     std::string activity;
-    Table output;
+    std::shared_ptr<const Table> output;
     VTime end_us = 0;
   };
   std::vector<CompletedActivity> completed;

@@ -4,7 +4,9 @@
 #ifndef FEDFLOW_WFMS_HELPERS_H_
 #define FEDFLOW_WFMS_HELPERS_H_
 
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "common/value.h"
 #include "wfms/model.h"
@@ -29,9 +31,17 @@ HelperFn MakeConcatHelper();
 /// names are taken from the first input).
 HelperFn MakeUnionAllHelper();
 
-/// Hash-joins input 0 and input 1 on `left_column` = `right_column`,
-/// emitting the columns of both inputs (the paper's independent-case
-/// composition "join with selection").
+/// Hash-joins input 0 and input 1 on the key columns at `left_index` and
+/// `right_index`, emitting the columns of both inputs (the paper's
+/// independent-case composition "join with selection"). Keys match when they
+/// hash alike and are SQL-equal, so NULL keys never match. The right input is
+/// indexed in flat vectors and each left row probes it; output order is left
+/// row ascending, then matching right row descending. Positional keys serve
+/// join chains, whose column names may repeat.
+HelperFn MakeIndexJoinHelper(size_t left_index, size_t right_index);
+
+/// The index join on the columns named `left_column` (input 0) and
+/// `right_column` (input 1).
 HelperFn MakeJoinHelper(std::string left_column, std::string right_column);
 
 /// Projects the single input to the named columns, in order.

@@ -75,9 +75,12 @@ enum class BlockAccumulate {
 struct ProcessDefinition;
 
 /// Helper function body: tables in, table out. Helpers implement the paper's
-/// type conversions and the combination of parallel activity results.
+/// type conversions and the combination of parallel activity results. The
+/// inputs are borrowed, never null: a whole-table input is the producing
+/// activity's own container table, which the engine keeps alive until the
+/// helper returns, so a helper copies only what it puts into its output.
 using HelperFn =
-    std::function<Result<Table>(const std::vector<Table>& inputs)>;
+    std::function<Result<Table>(const std::vector<const Table*>& inputs)>;
 
 /// One node of the process graph.
 struct ActivityDef {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <map>
 #include <mutex>
@@ -314,6 +315,50 @@ TEST_F(EngineTest, ScalarInputFromMultiRowOutputFails) {
             std::string::npos);
 }
 
+TEST_F(EngineTest, ScalarInputNeedsASingleColumnSource) {
+  // Two sources fail with this message: a two-column output named without a
+  // column, and an output removed by dead-path elimination.
+  const std::string kMessage =
+      "scalar input requires a single-column source; specify a column";
+  invoker_.Define("pair", 10, [](const std::vector<Value>&) {
+    Schema s;
+    s.AddColumn("a", DataType::kInt);
+    s.AddColumn("b", DataType::kInt);
+    Table t(s);
+    t.AppendRowUnchecked({Value::Int(1), Value::Int(2)});
+    return Result<Table>(t);
+  });
+  invoker_.DefineAddOne("g", 10);
+
+  ProcessBuilder wide("wide");
+  wide.Program("A", "sys", "pair", {});
+  wide.Program("B", "sys", "g", {InputSource::FromActivity("A", "")});
+  wide.Connect("A", "B");
+  wide.Output("B");
+  auto wide_def = wide.Build();
+  ASSERT_TRUE(wide_def.ok()) << wide_def.status();
+  auto wide_result = engine_.RunDefinition(*wide_def, {}, &invoker_);
+  ASSERT_FALSE(wide_result.ok());
+  EXPECT_NE(wide_result.status().message().find(kMessage), std::string::npos)
+      << wide_result.status();
+
+  ProcessBuilder dead("dead_source");
+  dead.Program("A", "sys", "g", {InputSource::Constant(Value::Int(1))});
+  dead.Program("D", "sys", "g", {InputSource::Constant(Value::Int(1))});
+  dead.Program("B", "sys", "g", {InputSource::FromActivity("D", "v")});
+  dead.Join(JoinKind::kOr);
+  dead.Connect("A", "D", "1 = 0");  // D is dead-path eliminated
+  dead.Connect("A", "B");
+  dead.Connect("D", "B");
+  dead.Output("B");
+  auto dead_def = dead.Build();
+  ASSERT_TRUE(dead_def.ok()) << dead_def.status();
+  auto dead_result = engine_.RunDefinition(*dead_def, {}, &invoker_);
+  ASSERT_FALSE(dead_result.ok());
+  EXPECT_NE(dead_result.status().message().find(kMessage), std::string::npos)
+      << dead_result.status();
+}
+
 TEST_F(EngineTest, RegisteredProcessRunsByName) {
   invoker_.DefineAddOne("f", 10);
   ProcessBuilder b("registered");
@@ -575,6 +620,80 @@ TEST_F(EngineTest, ParallelActivitiesInsideABlockRunConcurrently) {
   EXPECT_EQ(result->output.schema().num_columns(), 2u);
 }
 
+TEST_F(EngineTest, HelperReadsItsInputWhileSiblingsAddSlots) {
+  // H borrows L's large table while ten sibling programs finish on the pool
+  // and add their slots to the container; the table must neither move nor
+  // die under the helper.
+  constexpr int kRows = 20000;
+  constexpr int kSiblings = 10;
+  invoker_.Define("big", 10, [](const std::vector<Value>&) {
+    Schema s;
+    s.AddColumn("v", DataType::kInt);
+    Table t(s);
+    for (int r = 0; r < kRows; ++r) t.AppendRowUnchecked({Value::Int(r)});
+    return Result<Table>(std::move(t));
+  });
+  std::atomic<int> finished{0};
+  invoker_.Define("sibling", 10, [&finished](const std::vector<Value>& args) {
+    Schema s;
+    s.AddColumn("v", DataType::kInt);
+    Table t(s);
+    t.AppendRowUnchecked({args[0]});
+    finished.fetch_add(1);
+    return Result<Table>(std::move(t));
+  });
+  auto sum = [](const Table& t) {
+    int64_t total = 0;
+    for (const Row& r : t.rows()) total += r[0].AsInt();
+    return total;
+  };
+  ASSERT_TRUE(
+      engine_
+          .RegisterHelper(
+              "reading_sum",
+              [&finished, sum](const std::vector<const Table*>& in)
+                  -> Result<Table> {
+                const Table& big = *in[0];
+                const Row* rows = big.rows().data();
+                int64_t total = 0;
+                const auto deadline =
+                    std::chrono::steady_clock::now() + std::chrono::seconds(10);
+                do {
+                  total = sum(big);
+                } while (finished.load() < kSiblings &&
+                         std::chrono::steady_clock::now() < deadline);
+                // The last slots are set just after their programs return.
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                total = sum(big);
+                if (big.rows().data() != rows) {
+                  return Status::Internal("the borrowed table moved");
+                }
+                Schema s;
+                s.AddColumn("total", DataType::kBigInt);
+                Table out(s);
+                out.AppendRowUnchecked({Value::BigInt(total)});
+                return out;
+              })
+          .ok());
+  ProcessBuilder b("siblings");
+  b.Program("L", "sys", "big", {});
+  b.Helper("H", "reading_sum", {InputSource::FromActivity("L", "")});
+  b.Connect("L", "H");
+  for (int i = 0; i < kSiblings; ++i) {
+    const std::string name = "S" + std::to_string(i);
+    b.Program(name, "sys", "sibling", {InputSource::Constant(Value::Int(i))});
+    b.Connect("L", name);
+  }
+  b.Output("H");
+  auto def = b.Build();
+  ASSERT_TRUE(def.ok()) << def.status();
+  auto result = engine_.RunDefinition(*def, {}, &invoker_);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(finished.load(), kSiblings);
+  EXPECT_EQ(result->output.rows()[0][0].AsBigInt(),
+            int64_t{kRows} * (kRows - 1) / 2);
+}
+
 TEST_F(EngineTest, NestedForksFromManyCallersNeverDeadlock) {
   // More navigating threads than pool workers, each forking three do-until
   // blocks whose bodies fork again: only terminates if no navigating thread
@@ -703,7 +822,7 @@ TEST_F(RecoveryTest, FailurePersistsCompletedActivitiesInCheckpoint) {
   ASSERT_EQ(ckpt.completed.size(), 1u);
   EXPECT_EQ(ckpt.completed[0].activity, "A");
   EXPECT_EQ(ckpt.completed[0].end_us, 100);
-  EXPECT_EQ(ckpt.completed[0].output.rows()[0][0].AsInt(), 6);
+  EXPECT_EQ(ckpt.completed[0].output->rows()[0][0].AsInt(), 6);
   EXPECT_EQ(ckpt.failed_at_us, 100);
   EXPECT_EQ(ckpt.attempt_work.Of(steps::kProcessActivities), 100)
       << "the failed activity charges no work";
@@ -812,6 +931,110 @@ TEST_F(RecoveryTest, GuardsRejectBadCheckpoints) {
   auto mismatch =
       engine_.RunRecoverable("chain", {Value::Int(5)}, &invoker_, &ckpt);
   EXPECT_FALSE(mismatch.ok());
+
+  InstanceCheckpoint no_output;
+  no_output.valid = true;
+  no_output.process = "chain";
+  no_output.args = {Value::Int(5)};
+  no_output.completed.push_back({"A", nullptr, 100});
+  auto null_handle = engine_.ResumeFrom(no_output, &invoker_);
+  ASSERT_FALSE(null_handle.ok());
+  EXPECT_EQ(null_handle.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(RecoveryTest, CheckpointAndHelpersShareTheProducersTables) {
+  // A and B feed two joins: J1 runs before C fails, J2 only after the
+  // resume. Every join input must be the producer's own checkpointed table.
+  auto keyed = [](const std::string& col, int rows, int keys) {
+    Schema s;
+    s.AddColumn("k", DataType::kInt);
+    s.AddColumn(col, DataType::kInt);
+    Table t(s);
+    for (int r = 0; r < rows; ++r) {
+      t.AppendRowUnchecked({Value::Int(r % keys), Value::Int(r)});
+    }
+    return t;
+  };
+  invoker_.Define("rows_a", 100, [keyed](const std::vector<Value>&) {
+    return Result<Table>(keyed("a", 3, 3));
+  });
+  invoker_.Define("rows_b", 100, [keyed](const std::vector<Value>&) {
+    return Result<Table>(keyed("b", 40, 5));
+  });
+  auto remaining = std::make_shared<int>(1);
+  invoker_.Define("fail_once", 10, [remaining](const std::vector<Value>&) {
+    if (*remaining > 0) {
+      --*remaining;
+      return Result<Table>(Status::Unavailable("flaky"));
+    }
+    Schema s;
+    s.AddColumn("c", DataType::kInt);
+    Table t(s);
+    t.AppendRowUnchecked({Value::Int(1)});
+    return Result<Table>(std::move(t));
+  });
+  std::mutex mu;
+  std::vector<std::pair<const Row*, const Row*>> seen;
+  HelperFn join = MakeJoinHelper("k", "k");
+  ASSERT_TRUE(engine_
+                  .RegisterHelper(
+                      "recording_join",
+                      [&mu, &seen, join](const std::vector<const Table*>& in)
+                          -> Result<Table> {
+                        {
+                          std::lock_guard<std::mutex> lock(mu);
+                          seen.emplace_back(in[0]->rows().data(),
+                                            in[1]->rows().data());
+                        }
+                        return join(in);
+                      })
+                  .ok());
+  ProcessBuilder b("shared");
+  b.Program("A", "sys", "rows_a", {});
+  b.Program("B", "sys", "rows_b", {});
+  b.Helper("J1", "recording_join",
+           {InputSource::FromActivity("A", ""),
+            InputSource::FromActivity("B", "")});
+  b.Program("C", "sys", "fail_once", {InputSource::Constant(Value::Int(0))});
+  b.Helper("J2", "recording_join",
+           {InputSource::FromActivity("A", ""),
+            InputSource::FromActivity("B", "")});
+  b.Connect("A", "J1");
+  b.Connect("B", "J1");
+  b.Connect("J1", "C");
+  b.Connect("C", "J2");
+  b.Output("J2");
+  auto def = b.Build();
+  ASSERT_TRUE(def.ok()) << def.status();
+  ASSERT_TRUE(engine_.RegisterProcess(*def).ok());
+
+  InstanceCheckpoint ckpt;
+  ASSERT_FALSE(engine_.RunRecoverable("shared", {}, &invoker_, &ckpt).ok());
+  ASSERT_TRUE(ckpt.valid);
+  std::map<std::string, std::shared_ptr<const Table>> persisted;
+  for (const InstanceCheckpoint::CompletedActivity& c : ckpt.completed) {
+    persisted[c.activity] = c.output;
+  }
+  ASSERT_EQ(persisted.size(), 3u);  // A, B and J1
+  ASSERT_NE(persisted["A"], nullptr);
+  ASSERT_NE(persisted["B"], nullptr);
+  const Row* a_rows = persisted["A"]->rows().data();
+  const Row* b_rows = persisted["B"]->rows().data();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].first, a_rows) << "J1 read a copy of A's table";
+  EXPECT_EQ(seen[0].second, b_rows) << "J1 read a copy of B's table";
+
+  auto resumed = engine_.ResumeFrom(ckpt, &invoker_);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[1].first, a_rows) << "the resume re-seeded a copy of A";
+  EXPECT_EQ(seen[1].second, b_rows) << "the resume re-seeded a copy of B";
+
+  InstanceCheckpoint fresh;
+  auto unfailed = engine_.RunRecoverable("shared", {}, &invoker_, &fresh);
+  ASSERT_TRUE(unfailed.ok()) << unfailed.status();
+  EXPECT_EQ(resumed->output, unfailed->output);
+  EXPECT_EQ(resumed->output.num_rows(), 24u);
 }
 
 TEST_F(RecoveryTest, SuccessfulRunLeavesCheckpointInvalid) {
