@@ -1,5 +1,8 @@
-// Fixed-size worker pool used by the workflow engine to really execute
-// parallel activities concurrently (virtual time is tracked separately).
+// Fixed-size worker pool. The workflow engine hands it the fork branches
+// that waited past the engine's hand-off deadline for a busy navigating
+// thread, so a branch blocked on its sibling still gets the sibling run
+// (virtual time is tracked separately); the load harness runs its
+// closed-loop clients on one.
 #ifndef FEDFLOW_COMMON_THREAD_POOL_H_
 #define FEDFLOW_COMMON_THREAD_POOL_H_
 

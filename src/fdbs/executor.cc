@@ -473,7 +473,7 @@ class LateralApplySource : public RowSource {
     FEDFLOW_RETURN_NOT_OK(status);
     // One span per lateral A-UDTF step: covers the eager part of the
     // invocation (where the coupling charges its per-step costs).
-    obs::SpanScope step(chain_->ctx->trace, "lateral:" + ref_->name,
+    obs::SpanScope step(chain_->ctx->trace, "lateral:", ref_->name,
                         obs::Layer::kFdbs);
     Result<RowSourcePtr> stream =
         fn_->InvokeStream(args, *chain_->ctx, chain_->batch_size);

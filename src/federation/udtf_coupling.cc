@@ -55,7 +55,7 @@ class AccessUdtf : public fdbs::TableFunction {
                                     fdbs::ExecContext& ctx,
                                     size_t batch_size) override {
     FEDFLOW_ASSIGN_OR_RETURN(sim::FlowState * flow, RequireFlow(ctx, name_));
-    obs::SpanScope span(ctx.trace, "audtf:" + name_, obs::Layer::kCoupling);
+    obs::SpanScope span(ctx.trace, "audtf:", name_, obs::Layer::kCoupling);
     span.SetAttribute("system", system_);
     txn::SagaExec* saga = flow->saga;
     if (saga != nullptr) {
@@ -115,7 +115,7 @@ class AccessUdtf : public fdbs::TableFunction {
     return [this, controller, trace, dispatched](
                const std::string& fn,
                const std::vector<Value>& remote_args) -> Result<Table> {
-      obs::SpanScope local(trace, "local:" + fn, obs::Layer::kAppsys);
+      obs::SpanScope local(trace, "local:", fn, obs::Layer::kAppsys);
       local.SetAttribute("system", system_);
       Result<Controller::DispatchResult> d =
           controller->Dispatch(system_, fn, remote_args);
@@ -264,7 +264,7 @@ class AccessUdtf : public fdbs::TableFunction {
                     &spike_us, trace, faults](
                        const std::string& fn,
                        const std::vector<Value>& remote_args) -> Result<Table> {
-      obs::SpanScope local(trace, "local:" + fn, obs::Layer::kAppsys);
+      obs::SpanScope local(trace, "local:", fn, obs::Layer::kAppsys);
       local.SetAttribute("system", system_);
       local.SetAttribute("saga.step", step.node);
       // The idempotency key rides last in the request; strip it before the
@@ -327,7 +327,7 @@ Result<RowSourcePtr> InstrumentedIUdtf::InvokeStream(
     size_t batch_size) {
   FEDFLOW_ASSIGN_OR_RETURN(sim::FlowState * flow, RequireFlow(ctx, name()));
   SimClock* clock = ctx.clock;
-  obs::SpanScope span(ctx.trace, steps_.span_prefix + name(),
+  obs::SpanScope span(ctx.trace, steps_.span_prefix, name(),
                       obs::Layer::kCoupling);
   sim::ChargeWarmup(*model_, *flow->warmth, name(), clock);
   // Statement-level retry: only the eager part of the body can fail here

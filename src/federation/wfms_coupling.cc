@@ -74,28 +74,37 @@ void WfmsWrapper::ClearCheckpoint(const std::string& function) {
   recovery_.erase(ToUpper(function));
 }
 
-WfmsWrapper::PendingRecovery WfmsWrapper::TakeRecovery(
-    const std::string& function, const std::vector<Value>& args) {
+namespace {
+
+std::vector<uint8_t> ArgsKey(const std::vector<Value>& args) {
   ByteWriter writer;
   writer.PutRow(args);
-  std::lock_guard<std::mutex> lock(recovery_mu_);
+  return writer.buffer();
+}
+
+}  // namespace
+
+WfmsWrapper::PendingRecovery WfmsWrapper::TakeRecovery(
+    const std::string& function, const std::vector<Value>& args) {
   PendingRecovery rec;
-  auto it = recovery_.find(ToUpper(function));
-  if (it != recovery_.end()) {
+  {
+    std::lock_guard<std::mutex> lock(recovery_mu_);
+    if (recovery_.empty()) return rec;
+    auto it = recovery_.find(ToUpper(function));
+    if (it == recovery_.end()) return rec;
     rec = std::move(it->second);
     recovery_.erase(it);
   }
   // A checkpoint only carries across attempts of the same call; different
   // arguments mean a new statement, so a stale instance is discarded.
-  if (rec.ckpt.valid && rec.args_key != writer.buffer()) {
-    rec = PendingRecovery{};
-  }
-  rec.args_key = writer.buffer();
+  if (rec.ckpt.valid && rec.args_key != ArgsKey(args)) rec = PendingRecovery{};
   return rec;
 }
 
 void WfmsWrapper::StoreRecovery(const std::string& function,
+                                const std::vector<Value>& args,
                                 PendingRecovery rec) {
+  rec.args_key = ArgsKey(args);
   std::lock_guard<std::mutex> lock(recovery_mu_);
   recovery_[ToUpper(function)] = std::move(rec);
 }
@@ -110,7 +119,7 @@ Result<RowSourcePtr> WfmsWrapper::ExecuteStream(const std::string& function,
         "controller not started; boot the integration environment first");
   }
   SimClock* clock = ctx.clock;
-  obs::SpanScope span(ctx.trace, "wrapper:" + function, obs::Layer::kCoupling);
+  obs::SpanScope span(ctx.trace, "wrapper:", function, obs::Layer::kCoupling);
   span.SetAttribute("architecture", "wfms");
   sim::ChargeWarmup(*model_, *flow->warmth, function, clock);
   if (clock != nullptr) {
@@ -194,7 +203,7 @@ Result<RowSourcePtr> WfmsWrapper::ExecuteStream(const std::string& function,
       }
       clock->Charge(sim::steps::kWfRmiReturn, costs.return_us);
     }
-    StoreRecovery(function, std::move(rec));
+    StoreRecovery(function, args, std::move(rec));
     return streamed.status();
   }
   if (clock != nullptr) {

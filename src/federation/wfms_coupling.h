@@ -135,9 +135,12 @@ class WfmsWrapper : public ForeignFunctionWrapper {
   /// The attempt operates on the returned copy; StoreRecovery puts it back
   /// on failure, a successful attempt simply drops it — sequentially
   /// identical to the old in-map reference, and safe for concurrent flows.
+  /// Only a pending checkpoint makes it marshal `args` for the comparison.
   PendingRecovery TakeRecovery(const std::string& function,
                                const std::vector<Value>& args);
-  void StoreRecovery(const std::string& function, PendingRecovery rec);
+  /// Puts `rec` back after a failed attempt, keyed by that attempt's `args`.
+  void StoreRecovery(const std::string& function,
+                     const std::vector<Value>& args, PendingRecovery rec);
 
   wfms::Engine* engine_;
   const appsys::AppSystemRegistry* systems_;

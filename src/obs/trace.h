@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -203,10 +204,18 @@ class TraceSession : public ClockObserver {
 class SpanScope {
  public:
   SpanScope(TraceSession* session, const std::string& name, Layer layer)
+      : SpanScope(session, {}, name, layer) {}
+
+  /// A span named `prefix` + `name`, joined only when the session is active,
+  /// so an untraced per-call site builds no name.
+  SpanScope(TraceSession* session, std::string_view prefix,
+            const std::string& name, Layer layer)
       : session_(session) {
     if (session_ == nullptr || !session_->active()) return;
+    std::string full(prefix);
+    full += name;
     VTime now = session_->clock() != nullptr ? session_->clock()->now() : 0;
-    id_ = session_->tracer()->StartSpan(name, layer, session_->current(), now);
+    id_ = session_->tracer()->StartSpan(full, layer, session_->current(), now);
     session_->Push(id_);
   }
 

@@ -20,8 +20,11 @@ namespace {
 /// integer division notwithstanding.
 class ResponseStreamSource : public RowSource {
  public:
-  ResponseStreamSource(std::vector<uint8_t> buffer, Schema schema,
-                       size_t num_rows, size_t batch_size,
+  /// `reader` reads `buffer` and stands just past the header, which
+  /// OpenResponseStream decoded and validated. Moving the vector keeps its
+  /// bytes where the reader points.
+  ResponseStreamSource(std::vector<uint8_t> buffer, ByteReader reader,
+                       Schema schema, size_t num_rows, size_t batch_size,
                        const LatencyModel* model,
                        RmiChannel::ChunkCostFn on_chunk)
       : buffer_(std::move(buffer)),
@@ -30,11 +33,7 @@ class ResponseStreamSource : public RowSource {
         batch_size_(batch_size),
         model_(model),
         on_chunk_(std::move(on_chunk)),
-        reader_(buffer_) {
-    // Skip the header; OpenResponseStream already validated it.
-    (void)reader_.GetSchema();
-    (void)reader_.GetU32();
-  }
+        reader_(reader) {}
 
   const Schema& schema() const override { return schema_; }
 
@@ -114,8 +113,8 @@ Result<RowSourcePtr> OpenResponseStream(std::vector<uint8_t> buffer,
     return Status::ExecutionError("codec: truncated");
   }
   return RowSourcePtr(new ResponseStreamSource(
-      std::move(buffer), std::move(schema), num_rows, batch_size, model,
-      std::move(on_chunk)));
+      std::move(buffer), header, std::move(schema), num_rows, batch_size,
+      model, std::move(on_chunk)));
 }
 
 /// Status returned for an injected fault.

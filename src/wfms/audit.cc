@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <sstream>
+#include <tuple>
 
 #include "common/strings.h"
+#include "wfms/model.h"
 
 namespace fedflow::wfms {
 
@@ -31,41 +33,41 @@ const char* AuditEventName(AuditEvent event) {
   return "unknown";
 }
 
-void AuditTrail::Record(VTime time, AuditEvent event, std::string activity,
-                        std::string detail, int activity_index) {
-  entries_.push_back(AuditEntry{time, event, std::move(activity),
-                                std::move(detail), activity_index});
+std::vector<AuditEntry> AuditTrail::entries() const {
+  std::vector<AuditEntry> out;
+  out.reserve(records_.size());
+  for (const Recorded& r : records_) {
+    AuditEntry& e = out.emplace_back(
+        AuditEntry{r.time, r.event, "", r.detail, r.activity});
+    if (process_ == nullptr) continue;
+    if (r.activity >= 0) e.activity = process_->activities[r.activity].name;
+    if (r.activity < 0 && e.detail.empty()) e.detail = process_->name;
+  }
+  auto key = [](const AuditEntry& e) {
+    const int rank = e.event == AuditEvent::kProcessStarted    ? 0
+                     : e.event == AuditEvent::kProcessFinished ? 2
+                                                               : 1;
+    return std::tuple(e.time, rank, e.activity_index);
+  };
+  std::stable_sort(out.begin(), out.end(),
+                   [&](const AuditEntry& a, const AuditEntry& b) {
+                     return key(a) < key(b);
+                   });
+  return out;
 }
 
 std::vector<AuditEntry> AuditTrail::ForActivity(
     const std::string& activity) const {
-  std::vector<AuditEntry> out;
-  for (const AuditEntry& e : entries_) {
-    if (EqualsIgnoreCase(e.activity, activity)) out.push_back(e);
-  }
+  std::vector<AuditEntry> out = entries();
+  std::erase_if(out, [&](const AuditEntry& e) {
+    return !EqualsIgnoreCase(e.activity, activity);
+  });
   return out;
-}
-
-void AuditTrail::Normalize() {
-  auto rank = [](const AuditEntry& e) {
-    if (e.event == AuditEvent::kProcessStarted) return 0;
-    if (e.event == AuditEvent::kProcessFinished) return 2;
-    return 1;
-  };
-  std::stable_sort(entries_.begin(), entries_.end(),
-                   [&](const AuditEntry& a, const AuditEntry& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     if (rank(a) != rank(b)) return rank(a) < rank(b);
-                     if (a.activity_index != b.activity_index) {
-                       return a.activity_index < b.activity_index;
-                     }
-                     return a.activity < b.activity;
-                   });
 }
 
 std::string AuditTrail::ToString() const {
   std::ostringstream os;
-  for (const AuditEntry& e : entries_) {
+  for (const AuditEntry& e : entries()) {
     os << "[" << e.time << " us] " << AuditEventName(e.event);
     if (!e.activity.empty()) os << " " << e.activity;
     if (!e.detail.empty()) os << " (" << e.detail << ")";

@@ -2,12 +2,15 @@
 #ifndef FEDFLOW_WFMS_AUDIT_H_
 #define FEDFLOW_WFMS_AUDIT_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/vclock.h"
 
 namespace fedflow::wfms {
+
+struct ProcessDefinition;
 
 /// Navigation event types.
 enum class AuditEvent {
@@ -34,32 +37,47 @@ struct AuditEntry {
   /// Position of the activity in the process definition; -1 for
   /// process-level events. Ties on `time` order by this index — the same
   /// rule that ranks errors, so parallel forks produce one deterministic
-  /// trail regardless of pool scheduling.
+  /// trail regardless of which thread ran which branch.
   int activity_index = -1;
 };
 
-/// Ordered audit trail of one process instance.
+/// Audit trail of one process instance. Recording keeps time, event and
+/// activity index, plus a detail only where it is not a name; readers get
+/// the names from the process definition, and the order, when they read.
 class AuditTrail {
  public:
-  void Record(VTime time, AuditEvent event, std::string activity,
-              std::string detail = "", int activity_index = -1);
+  AuditTrail() = default;
+  explicit AuditTrail(std::shared_ptr<const ProcessDefinition> process)
+      : process_(std::move(process)) {}
 
-  const std::vector<AuditEntry>& entries() const { return entries_; }
+  /// `activity` is -1 for a process-level event, whose detail defaults to
+  /// the process name.
+  void Record(VTime time, AuditEvent event, int activity = -1,
+              std::string detail = {}) {
+    records_.push_back(Recorded{time, event, activity, std::move(detail)});
+  }
+  void Reserve(size_t events) { records_.reserve(events); }
+
+  /// Named entries sorted by (time, activity index), process-started first
+  /// and process-finished last on a tie, recording order otherwise.
+  std::vector<AuditEntry> entries() const;
 
   /// Entries for one activity, in order.
   std::vector<AuditEntry> ForActivity(const std::string& activity) const;
-
-  /// Sorts entries by (time, activity index): fork branches on pool threads
-  /// can record concurrently-finishing events out of order, and same-time
-  /// ties resolve by the activity's definition position (process-started
-  /// first, process-finished last), matching the engine's error ranking.
-  void Normalize();
 
   /// Multi-line human-readable rendering.
   std::string ToString() const;
 
  private:
-  std::vector<AuditEntry> entries_;
+  struct Recorded {
+    VTime time = 0;
+    AuditEvent event = AuditEvent::kProcessStarted;
+    int activity = -1;
+    std::string detail;
+  };
+
+  std::shared_ptr<const ProcessDefinition> process_;
+  std::vector<Recorded> records_;
 };
 
 }  // namespace fedflow::wfms

@@ -1,9 +1,8 @@
 #include "wfms/engine.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <deque>
-#include <mutex>
+#include <iterator>
 
 #include "common/strings.h"
 #include "wfms/condition.h"
@@ -14,7 +13,13 @@ namespace fedflow::wfms {
 
 namespace {
 
-constexpr size_t kWorkerThreads = 4;  ///< pool threads for fork surplus
+constexpr size_t kWorkerThreads = 4;  ///< pool threads for hand-offs
+
+/// How long an instance's ready work may wait for one of its busy threads
+/// before the watcher hands it to the pool; also the watcher's tick.
+constexpr std::chrono::microseconds kHandOffDeadline{1000};
+/// Ticks without an offer after which the watcher parks until the next one.
+constexpr int kIdleTicksBeforePark = 100;
 
 /// Lifecycle of one activity within an instance.
 enum class AState { kWaiting, kScheduled, kFinished, kDead, kFailed };
@@ -30,26 +35,56 @@ struct ActState {
 
 }  // namespace
 
-/// Navigates one process instance, top-level or block sub-process alike: the
-/// thread calling Run drains the ready queue itself, and a thread that takes
-/// an activity while others are still queued offers one pool task to help.
+/// Navigates one process instance, top-level or block sub-process alike. The
+/// thread calling Run drains the ready queue itself, fork branches included.
+/// A thread that takes an activity while others are still queued only posts
+/// an offer (at most one pending per instance); the engine's watcher hands
+/// the instance to a pool thread once the offer is older than
+/// kHandOffDeadline and work is still queued.
+///
+/// Progress: a thread that queues activities (ResolveOutgoing, or Run before
+/// its first Drain) goes on to take the first of them without blocking, and
+/// takes the next one as soon as it finishes its activity. So every ready
+/// activity is either taken by a thread that finished its previous activity,
+/// or is queued while an offer is pending, which the watcher hands to the
+/// pool within two deadlines: one for the offer to age, at most one more to
+/// the watcher's next tick. No activity waits forever for a sibling that was
+/// not handed off — a branch that blocks on its sibling still gets it run.
+///
 /// No deadlock however many threads navigate: a navigating thread waits only
 /// for activities that are executing, never for a pool task not yet started,
 /// and a task keeps the runner (always in a shared_ptr) alive, so one that
 /// starts late finds the queue empty. Token times ignore which thread ran.
 class InstanceRunner : public std::enable_shared_from_this<InstanceRunner> {
  public:
-  InstanceRunner(Engine* engine, const ProcessDefinition& def,
+  using Lock = std::unique_lock<std::mutex>;
+
+  InstanceRunner(Engine* engine, std::shared_ptr<const ProcessDefinition> def,
                  const std::vector<Value>& args, ProgramInvoker* invoker,
                  InstanceCheckpoint* ckpt, obs::TraceHandle trace)
       : engine_(engine),
-        def_(def),
+        def_(std::move(def)),
         invoker_(invoker),
         ckpt_(ckpt),
         trace_(trace),
-        raw_args_(args) {}
+        raw_args_(args),
+        audit_(def_) {}
 
   Result<ProcessResult> Run();
+
+  /// The watcher's claim on this instance's overdue offer: clears it and
+  /// reports whether ready work is still waiting for a thread.
+  bool ClaimOffer() {
+    Lock lock(mu_);
+    offer_pending_ = false;
+    return !ready_.empty();
+  }
+
+  /// A pool thread's share of the navigation, after a hand-off.
+  void Help() {
+    Lock lock(mu_);
+    Drain(lock);
+  }
 
  private:
   struct Work {
@@ -61,10 +96,14 @@ class InstanceRunner : public std::enable_shared_from_this<InstanceRunner> {
   void Schedule(size_t idx, VTime start);
   void MarkDead(size_t idx, VTime t);
   void ResolveOutgoing(size_t idx, VTime t, bool source_ran);
-  void Fail(const Status& status, size_t idx, VTime t);
+  void Fail(const Status& status, size_t idx, VTime t, obs::SpanId span = 0);
+  /// Records one navigation event on the audit trail and, when `span` is
+  /// live, as its span event (detail defaulting to the activity's name).
+  void Record(obs::SpanId span, VTime t, AuditEvent event, int activity = -1,
+              std::string detail = {});
 
-  using Lock = std::unique_lock<std::mutex>;
-  /// Runs queued activities until none is left. Holds `lock` on mu_.
+  /// Runs queued activities until none is left, posting an offer whenever
+  /// it leaves work queued and none is pending. Holds `lock` on mu_.
   void Drain(Lock& lock);
   /// Runs one activity, releasing `lock` around its external work.
   void ExecuteActivity(Lock& lock, size_t idx, VTime start);
@@ -97,7 +136,7 @@ class InstanceRunner : public std::enable_shared_from_this<InstanceRunner> {
   VTime TraceTime(VTime t) const { return trace_.base_us + t; }
 
   Engine* engine_;
-  const ProcessDefinition& def_;
+  const std::shared_ptr<const ProcessDefinition> def_;
   ProgramInvoker* invoker_;
   InstanceCheckpoint* ckpt_;  ///< null = run without forward recovery
   obs::TraceHandle trace_;
@@ -107,11 +146,14 @@ class InstanceRunner : public std::enable_shared_from_this<InstanceRunner> {
   mutable std::mutex mu_;
   std::condition_variable cv_;  ///< Run waits on it for executing activities
   std::vector<ActState> states_;
-  std::vector<std::vector<const ControlConnector*>> outgoing_;
+  /// Per activity: (outgoing connector, index of its target).
+  std::vector<std::vector<std::pair<const ControlConnector*, size_t>>>
+      outgoing_;
   std::vector<std::pair<std::string, Value>> inputs_;  // process input fields
   Container data_;                                     // activity outputs
   std::deque<Work> ready_;  ///< scheduled activities no thread has taken yet
   int running_ = 0;         ///< activities taken and still executing
+  bool offer_pending_ = false;  ///< an offer is posted, not yet claimed
   Status error_;
   /// (virtual failure time, activity index) of the failure error_ reports;
   /// earliest wins so the surfaced error does not depend on which pool
@@ -122,19 +164,19 @@ class InstanceRunner : public std::enable_shared_from_this<InstanceRunner> {
 };
 
 Result<ProcessResult> InstanceRunner::Run() {
-  const size_t n = def_.activities.size();
+  const size_t n = def_->activities.size();
 
   // Bind and coerce process inputs.
-  if (raw_args_.size() != def_.input_params.size()) {
+  if (raw_args_.size() != def_->input_params.size()) {
     return Status::InvalidArgument(
-        "process " + def_.name + " expects " +
-        std::to_string(def_.input_params.size()) + " argument(s), got " +
+        "process " + def_->name + " expects " +
+        std::to_string(def_->input_params.size()) + " argument(s), got " +
         std::to_string(raw_args_.size()));
   }
   for (size_t i = 0; i < raw_args_.size(); ++i) {
     FEDFLOW_ASSIGN_OR_RETURN(Value v,
-                             raw_args_[i].CastTo(def_.input_params[i].type));
-    inputs_.emplace_back(def_.input_params[i].name, std::move(v));
+                             raw_args_[i].CastTo(def_->input_params[i].type));
+    inputs_.emplace_back(def_->input_params[i].name, std::move(v));
   }
 
   // Process-level span; every executed activity hangs a child span under it.
@@ -148,7 +190,7 @@ Result<ProcessResult> InstanceRunner::Run() {
     }
   } proc_guard;
   if (trace_.active()) {
-    proc_span_ = trace_.tracer->StartSpan("wf:" + def_.name, obs::Layer::kWfms,
+    proc_span_ = trace_.tracer->StartSpan("wf:" + def_->name, obs::Layer::kWfms,
                                           trace_.parent, TraceTime(0));
     proc_guard.tracer = trace_.tracer;
     proc_guard.id = proc_span_;
@@ -157,10 +199,11 @@ Result<ProcessResult> InstanceRunner::Run() {
 
   states_.resize(n);
   outgoing_.resize(n);
-  for (const ControlConnector& c : def_.connectors) {
-    FEDFLOW_ASSIGN_OR_RETURN(size_t from, def_.ActivityIndex(c.from));
-    FEDFLOW_ASSIGN_OR_RETURN(size_t to, def_.ActivityIndex(c.to));
-    outgoing_[from].push_back(&c);
+  audit_.Reserve(3 * n + 2);  // started, checkpointed, finished per activity
+  for (const ControlConnector& c : def_->connectors) {
+    FEDFLOW_ASSIGN_OR_RETURN(size_t from, def_->ActivityIndex(c.from));
+    FEDFLOW_ASSIGN_OR_RETURN(size_t to, def_->ActivityIndex(c.to));
+    outgoing_[from].emplace_back(&c, to);
     states_[to].incoming += 1;
     states_[to].unresolved += 1;
   }
@@ -174,41 +217,30 @@ Result<ProcessResult> InstanceRunner::Run() {
       // checkpoint's own handles) and finish times and are never re-executed.
       audit_ = ckpt_->audit;
       for (const InstanceCheckpoint::CompletedActivity& c : ckpt_->completed) {
-        Result<size_t> idx = def_.ActivityIndex(c.activity);
+        Result<size_t> idx = def_->ActivityIndex(c.activity);
         if (!idx.ok()) {
           return Status::InvalidArgument(
               "checkpoint names unknown activity " + c.activity +
-              " of process " + def_.name);
+              " of process " + def_->name);
         }
         if (c.output == nullptr) {
           return Status::InvalidArgument("checkpoint holds no output for "
                                          "activity " + c.activity +
-                                         " of process " + def_.name);
+                                         " of process " + def_->name);
         }
         states_[*idx].state = AState::kFinished;
         states_[*idx].end = c.end_us;
         data_.Set(c.activity, c.output);
         restored.push_back(*idx);
       }
-      audit_.Record(ckpt_->failed_at_us, AuditEvent::kProcessResumed, "",
-                    def_.name);
-      if (proc_span_ != 0) {
-        trace_.tracer->AddEvent(proc_span_, TraceTime(ckpt_->failed_at_us),
-                                AuditEventName(AuditEvent::kProcessResumed),
-                                def_.name);
-      }
+      Record(proc_span_, ckpt_->failed_at_us, AuditEvent::kProcessResumed);
       if (engine_->options_.metrics != nullptr) {
         engine_->options_.metrics->Inc("wfms.resumes");
       }
     } else {
-      audit_.Record(0, AuditEvent::kProcessStarted, "", def_.name);
-      if (proc_span_ != 0) {
-        trace_.tracer->AddEvent(proc_span_, TraceTime(0),
-                                AuditEventName(AuditEvent::kProcessStarted),
-                                def_.name);
-      }
+      Record(proc_span_, 0, AuditEvent::kProcessStarted);
       if (ckpt_ != nullptr) {
-        ckpt_->process = def_.name;
+        ckpt_->process = def_->name;
         ckpt_->args = raw_args_;
         ckpt_->completed.clear();
         ckpt_->audit = AuditTrail();
@@ -250,7 +282,6 @@ Result<ProcessResult> InstanceRunner::Run() {
       ckpt_->failed_at_us = end_time;
       ckpt_->attempt_work = breakdown_;
       ckpt_->audit = audit_;
-      ckpt_->audit.Normalize();
     }
     return error_;
   }
@@ -258,26 +289,20 @@ Result<ProcessResult> InstanceRunner::Run() {
     ckpt_->valid = false;
     ckpt_->completed.clear();
   }
-  audit_.Record(end_time, AuditEvent::kProcessFinished, "", def_.name);
-  if (proc_span_ != 0) {
-    trace_.tracer->AddEvent(proc_span_, TraceTime(end_time),
-                            AuditEventName(AuditEvent::kProcessFinished),
-                            def_.name);
-  }
-  audit_.Normalize();
+  Record(proc_span_, end_time, AuditEvent::kProcessFinished);
 
   FEDFLOW_ASSIGN_OR_RETURN(size_t out_idx,
-                           def_.ActivityIndex(def_.output_activity));
+                           def_->ActivityIndex(def_->output_activity));
   if (states_[out_idx].state == AState::kDead) {
-    return Status::ExecutionError("output activity " + def_.output_activity +
+    return Status::ExecutionError("output activity " + def_->output_activity +
                                   " was removed by dead-path elimination");
   }
   if (states_[out_idx].state != AState::kFinished) {
-    return Status::Internal("output activity " + def_.output_activity +
+    return Status::Internal("output activity " + def_->output_activity +
                             " did not finish");
   }
   FEDFLOW_ASSIGN_OR_RETURN(std::shared_ptr<const Table> out,
-                           data_.Get(def_.output_activity));
+                           data_.Get(def_->output_activity));
 
   ProcessResult result;
   result.output = *out;
@@ -297,11 +322,9 @@ void InstanceRunner::Drain(Lock& lock) {
     const Work w = ready_.front();
     ready_.pop_front();
     ++running_;
-    if (!ready_.empty()) {
-      engine_->pool_->Submit([self = shared_from_this()] {
-        Lock helper_lock(self->mu_);
-        self->Drain(helper_lock);
-      });
+    if (!ready_.empty() && !offer_pending_) {
+      offer_pending_ = true;
+      engine_->PostOffer(weak_from_this());
     }
     ExecuteActivity(lock, w.idx, w.start);
     --running_;
@@ -309,20 +332,25 @@ void InstanceRunner::Drain(Lock& lock) {
   }
 }
 
+void InstanceRunner::Record(obs::SpanId span, VTime t, AuditEvent event,
+                            int activity, std::string detail) {
+  if (span != 0) {
+    const std::string& shown = !detail.empty() ? detail
+                               : activity >= 0 ? def_->activities[activity].name
+                                               : def_->name;
+    trace_.tracer->AddEvent(span, TraceTime(t), AuditEventName(event), shown);
+  }
+  audit_.Record(t, event, activity, std::move(detail));
+}
+
 void InstanceRunner::MarkDead(size_t idx, VTime t) {
   states_[idx].state = AState::kDead;
-  audit_.Record(t, AuditEvent::kActivityDead, def_.activities[idx].name, "",
-                static_cast<int>(idx));
-  if (proc_span_ != 0) {
-    trace_.tracer->AddEvent(proc_span_, TraceTime(t),
-                            AuditEventName(AuditEvent::kActivityDead),
-                            def_.activities[idx].name);
-  }
+  Record(proc_span_, t, AuditEvent::kActivityDead, static_cast<int>(idx));
   ResolveOutgoing(idx, t, /*source_ran=*/false);
 }
 
 void InstanceRunner::ResolveOutgoing(size_t idx, VTime t, bool source_ran) {
-  for (const ControlConnector* c : outgoing_[idx]) {
+  for (const auto& [c, to] : outgoing_[idx]) {
     bool truth = false;
     if (source_ran) {
       if (c->condition == nullptr) {
@@ -344,7 +372,6 @@ void InstanceRunner::ResolveOutgoing(size_t idx, VTime t, bool source_ran) {
         truth = *eval;
       }
     }
-    size_t to = *def_.ActivityIndex(c->to);
     ActState& st = states_[to];
     st.unresolved -= 1;
     st.ready = std::max(st.ready, t);
@@ -355,7 +382,7 @@ void InstanceRunner::ResolveOutgoing(size_t idx, VTime t, bool source_ran) {
     // depending on how far the pool got before the failure. Only the failed
     // activity's successors stall (Fail never resolves outgoing connectors).
     if (st.unresolved == 0 && st.state == AState::kWaiting) {
-      const JoinKind join = def_.activities[to].join;
+      const JoinKind join = def_->activities[to].join;
       const bool should_run = join == JoinKind::kAnd
                                   ? st.true_in == st.incoming
                                   : st.true_in > 0;
@@ -368,14 +395,15 @@ void InstanceRunner::ResolveOutgoing(size_t idx, VTime t, bool source_ran) {
   }
 }
 
-void InstanceRunner::Fail(const Status& status, size_t idx, VTime t) {
+void InstanceRunner::Fail(const Status& status, size_t idx, VTime t,
+                          obs::SpanId span) {
   states_[idx].state = AState::kFailed;
-  audit_.Record(t, AuditEvent::kActivityFailed, def_.activities[idx].name,
-                status.ToString(), static_cast<int>(idx));
+  Record(span, t, AuditEvent::kActivityFailed, static_cast<int>(idx),
+         status.ToString());
   const std::pair<VTime, size_t> rank{t, idx};
   if (error_.ok() || rank < error_rank_) {
-    error_ = status.WithContext("activity " + def_.activities[idx].name +
-                                " in process " + def_.name);
+    error_ = status.WithContext("activity " + def_->activities[idx].name +
+                                " in process " + def_->name);
     error_rank_ = rank;
   }
 }
@@ -400,7 +428,7 @@ Result<std::shared_ptr<const Table>> InstanceRunner::ResolveInput(
         // A dead-path-eliminated source supplies no data: its consumers see
         // an empty table (helpers like union_all skip it; scalar consumers
         // fail with a clear message).
-        auto idx = def_.ActivityIndex(in.activity);
+        auto idx = def_->ActivityIndex(in.activity);
         if (idx.ok() && states_[*idx].state == AState::kDead) {
           return std::make_shared<const Table>();
         }
@@ -463,7 +491,7 @@ Result<Value> InstanceRunner::ResolveRef(const std::string& qualifier,
 }
 
 void InstanceRunner::ExecuteActivity(Lock& lock, size_t idx, VTime start) {
-  const ActivityDef& a = def_.activities[idx];
+  const ActivityDef& a = def_->activities[idx];
 
   // Resolve inputs under the lock (reads shared instance data). The table
   // handles keep the helper's inputs alive until it returns.
@@ -491,21 +519,15 @@ void InstanceRunner::ExecuteActivity(Lock& lock, size_t idx, VTime start) {
     Fail(st.WithContext("resolving inputs"), idx, start);
     return;
   }
-  audit_.Record(start, AuditEvent::kActivityStarted, a.name, "",
-                static_cast<int>(idx));
-  lock.unlock();
-
-  // Per-activity span: token start/end times on the session timeline, audit
-  // records mirrored as span events. The tracer is internally synchronized,
-  // so span creation needs no instance lock.
+  // Per-activity span: token start/end times on the session timeline, the
+  // activity's navigation events as span events.
   obs::SpanId act_span = 0;
-  if (trace_.active() && proc_span_ != 0) {
+  if (proc_span_ != 0) {
     act_span = trace_.tracer->StartSpan("activity:" + a.name, obs::Layer::kWfms,
                                         proc_span_, TraceTime(start));
-    trace_.tracer->AddEvent(act_span, TraceTime(start),
-                            AuditEventName(AuditEvent::kActivityStarted),
-                            a.name);
   }
+  Record(act_span, start, AuditEvent::kActivityStarted, static_cast<int>(idx));
+  lock.unlock();
   if (engine_->options_.metrics != nullptr) {
     engine_->options_.metrics->Inc("wfms.activities");
   }
@@ -525,11 +547,8 @@ void InstanceRunner::ExecuteActivity(Lock& lock, size_t idx, VTime start) {
 
   lock.lock();
   if (!work.ok()) {
-    Fail(work.status(), idx, start);
+    Fail(work.status(), idx, start, act_span);
     if (act_span != 0) {
-      trace_.tracer->AddEvent(act_span, TraceTime(start),
-                              AuditEventName(AuditEvent::kActivityFailed),
-                              work.status().ToString());
       trace_.tracer->SetStatus(act_span, work.status());
       trace_.tracer->EndSpan(act_span, TraceTime(start));
     }
@@ -548,13 +567,8 @@ void InstanceRunner::ExecuteActivity(Lock& lock, size_t idx, VTime start) {
       // stable storage.
       ckpt_->completed.push_back(
           InstanceCheckpoint::CompletedActivity{a.name, output, end});
-      audit_.Record(end, AuditEvent::kActivityCheckpointed, a.name, "",
-                    static_cast<int>(idx));
-      if (act_span != 0) {
-        trace_.tracer->AddEvent(
-            act_span, TraceTime(end),
-            AuditEventName(AuditEvent::kActivityCheckpointed), a.name);
-      }
+      Record(act_span, end, AuditEvent::kActivityCheckpointed,
+             static_cast<int>(idx));
       if (opts.metrics != nullptr) opts.metrics->Inc("wfms.checkpoints");
     }
     data_.Set(a.name, std::move(output));
@@ -565,14 +579,9 @@ void InstanceRunner::ExecuteActivity(Lock& lock, size_t idx, VTime start) {
       breakdown_.Add(steps::kProcessActivities, opts.container_cost_us);
     }
     breakdown_.Merge(work->steps);
-    audit_.Record(end, AuditEvent::kActivityFinished, a.name, "",
-                  static_cast<int>(idx));
-    if (act_span != 0) {
-      trace_.tracer->AddEvent(act_span, TraceTime(end),
-                              AuditEventName(AuditEvent::kActivityFinished),
-                              a.name);
-      trace_.tracer->EndSpan(act_span, TraceTime(end));
-    }
+    Record(act_span, end, AuditEvent::kActivityFinished,
+           static_cast<int>(idx));
+    if (act_span != 0) trace_.tracer->EndSpan(act_span, TraceTime(end));
     ResolveOutgoing(idx, end, /*source_ran=*/true);
   }
 }
@@ -643,23 +652,16 @@ Result<InvokeResult> InstanceRunner::DoBlock(const ActivityDef& a,
     if (iter_param >= 0) sub_args[iter_param] = Value::Int(iteration);
 
     auto sub = std::make_shared<InstanceRunner>(
-        engine_, *a.sub, sub_args, invoker_, /*ckpt=*/nullptr,
+        engine_, a.sub, sub_args, invoker_, /*ckpt=*/nullptr,
         obs::TraceHandle{trace_.tracer, span, TraceTime(start) + total});
     FEDFLOW_ASSIGN_OR_RETURN(ProcessResult sub_result, sub->Run());
     total += sub_result.elapsed_us;
     result.steps.Merge(sub_result.breakdown);
     last_output = std::move(sub_result.output);
     {
-      // Audit the iteration on the parent trail.
       std::lock_guard<std::mutex> lock(mu_);
-      audit_.Record(total, AuditEvent::kLoopIteration, a.name,
-                    "iteration " + std::to_string(iteration),
-                    static_cast<int>(idx));
-      if (span != 0) {
-        trace_.tracer->AddEvent(span, TraceTime(start) + total,
-                                AuditEventName(AuditEvent::kLoopIteration),
-                                "iteration " + std::to_string(iteration));
-      }
+      Record(span, start + total, AuditEvent::kLoopIteration,
+             static_cast<int>(idx), "iteration " + std::to_string(iteration));
     }
 
     // Evaluate the exit condition while last_output is still whole (the
@@ -718,9 +720,60 @@ Engine::Engine(EngineOptions options) : options_(options) {
   helpers_.emplace("IDENTITY", MakeIdentityHelper());
   helpers_.emplace("CONCAT", MakeConcatHelper());
   helpers_.emplace("UNION_ALL", MakeUnionAllHelper());
+  watcher_ = std::thread([this] { WatchOffers(); });
 }
 
-Engine::~Engine() = default;
+Engine::~Engine() {
+  {
+    std::lock_guard<std::mutex> lock(offers_mu_);
+    stopping_ = true;
+  }
+  offers_cv_.notify_one();
+  watcher_.join();
+}
+
+void Engine::PostOffer(std::weak_ptr<InstanceRunner> instance) {
+  std::unique_lock<std::mutex> lock(offers_mu_);
+  offers_.push_back(
+      Offer{std::move(instance), std::chrono::steady_clock::now()});
+  if (!watcher_parked_) return;
+  watcher_parked_ = false;
+  lock.unlock();
+  offers_cv_.notify_one();
+}
+
+void Engine::WatchOffers() {
+  std::vector<Offer> due;
+  std::unique_lock<std::mutex> lock(offers_mu_);
+  int idle_ticks = kIdleTicksBeforePark;  // an engine starts with no forks
+  while (!stopping_) {
+    if (offers_.empty() && idle_ticks >= kIdleTicksBeforePark) {
+      watcher_parked_ = true;
+      offers_cv_.wait(lock, [this] { return stopping_ || !offers_.empty(); });
+      idle_ticks = 0;  // PostOffer cleared watcher_parked_
+      continue;
+    }
+    offers_cv_.wait_for(lock, kHandOffDeadline, [this] { return stopping_; });
+    idle_ticks = offers_.empty() ? idle_ticks + 1 : 0;
+    // Offers are in posting order, so the overdue ones are a prefix.
+    const auto cutoff = std::chrono::steady_clock::now() - kHandOffDeadline;
+    auto fresh =
+        std::find_if(offers_.begin(), offers_.end(),
+                     [&](const Offer& o) { return o.posted > cutoff; });
+    due.assign(std::make_move_iterator(offers_.begin()),
+               std::make_move_iterator(fresh));
+    offers_.erase(offers_.begin(), fresh);
+    lock.unlock();
+    for (Offer& offer : due) {
+      std::shared_ptr<InstanceRunner> runner = offer.instance.lock();
+      if (runner == nullptr || !runner->ClaimOffer()) continue;
+      if (options_.metrics != nullptr) options_.metrics->Inc("wfms.handoffs");
+      pool_->Submit([runner = std::move(runner)] { runner->Help(); });
+    }
+    due.clear();
+    lock.lock();
+  }
+}
 
 Status Engine::RegisterProcess(ProcessDefinition def) {
   FEDFLOW_RETURN_NOT_OK(ValidateProcess(def));
@@ -728,23 +781,24 @@ Status Engine::RegisterProcess(ProcessDefinition def) {
   if (processes_.count(key) > 0) {
     return Status::AlreadyExists("process already registered: " + def.name);
   }
-  processes_.emplace(std::move(key), std::move(def));
+  processes_.emplace(std::move(key),
+                     std::make_shared<const ProcessDefinition>(std::move(def)));
   return Status::OK();
 }
 
-Result<const ProcessDefinition*> Engine::GetProcess(
+Result<std::shared_ptr<const ProcessDefinition>> Engine::GetProcess(
     const std::string& name) const {
   auto it = processes_.find(ToUpper(name));
   if (it == processes_.end()) {
     return Status::NotFound("process not registered: " + name);
   }
-  return &it->second;
+  return it->second;
 }
 
 std::vector<std::string> Engine::ProcessNames() const {
   std::vector<std::string> names;
   names.reserve(processes_.size());
-  for (const auto& [key, def] : processes_) names.push_back(def.name);
+  for (const auto& [key, def] : processes_) names.push_back(def->name);
   return names;
 }
 
@@ -761,9 +815,10 @@ Result<ProcessResult> Engine::Run(const std::string& process,
                                   const std::vector<Value>& args,
                                   ProgramInvoker* invoker,
                                   const obs::TraceHandle& trace) {
-  FEDFLOW_ASSIGN_OR_RETURN(const ProcessDefinition* def, GetProcess(process));
-  return std::make_shared<InstanceRunner>(this, *def, args, invoker, nullptr,
-                                          trace)->Run();
+  FEDFLOW_ASSIGN_OR_RETURN(std::shared_ptr<const ProcessDefinition> def,
+                           GetProcess(process));
+  return std::make_shared<InstanceRunner>(this, std::move(def), args, invoker,
+                                          nullptr, trace)->Run();
 }
 
 Result<ProcessResult> Engine::RunDefinition(const ProcessDefinition& def,
@@ -771,8 +826,10 @@ Result<ProcessResult> Engine::RunDefinition(const ProcessDefinition& def,
                                             ProgramInvoker* invoker,
                                             const obs::TraceHandle& trace) {
   FEDFLOW_RETURN_NOT_OK(ValidateProcess(def));
-  return std::make_shared<InstanceRunner>(this, def, args, invoker, nullptr,
-                                          trace)->Run();
+  // The run's audit trail names activities from its own copy of `def`.
+  return std::make_shared<InstanceRunner>(
+             this, std::make_shared<const ProcessDefinition>(def), args,
+             invoker, nullptr, trace)->Run();
 }
 
 Result<ProcessResult> Engine::RunRecoverable(const std::string& process,
@@ -783,13 +840,14 @@ Result<ProcessResult> Engine::RunRecoverable(const std::string& process,
   if (ckpt == nullptr) {
     return Status::InvalidArgument("RunRecoverable requires a checkpoint");
   }
-  FEDFLOW_ASSIGN_OR_RETURN(const ProcessDefinition* def, GetProcess(process));
+  FEDFLOW_ASSIGN_OR_RETURN(std::shared_ptr<const ProcessDefinition> def,
+                           GetProcess(process));
   if (ckpt->valid && !EqualsIgnoreCase(ckpt->process, def->name)) {
     return Status::InvalidArgument("checkpoint belongs to process " +
                                    ckpt->process + ", not " + def->name);
   }
-  return std::make_shared<InstanceRunner>(this, *def, args, invoker, ckpt,
-                                          trace)->Run();
+  return std::make_shared<InstanceRunner>(this, std::move(def), args, invoker,
+                                          ckpt, trace)->Run();
 }
 
 Result<ProcessResult> Engine::ResumeFrom(InstanceCheckpoint& ckpt,

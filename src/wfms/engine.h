@@ -1,14 +1,20 @@
 // The workflow engine: registers process templates, instantiates them, and
-// navigates instances on the calling thread — surplus fork branches on a small
-// thread pool, transition conditions with dead-path elimination, do-until
-// blocks — while computing deterministic virtual-time token timestamps (an
-// activity starts at the max of its incoming tokens and ends at start + work).
+// navigates instances on the calling thread — fork branches included, with
+// a branch handed to a small thread pool only once it has waited past a
+// deadline for a busy thread — evaluating transition conditions with
+// dead-path elimination and do-until blocks, while computing deterministic
+// virtual-time token timestamps (an activity starts at the max of its
+// incoming tokens and ends at start + work).
 #ifndef FEDFLOW_WFMS_ENGINE_H_
 #define FEDFLOW_WFMS_ENGINE_H_
 
+#include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/result.h"
@@ -42,7 +48,7 @@ struct EngineOptions {
   /// Work charged for a helper activity's execution.
   VDuration helper_cost_us = 0;
   /// Optional metrics sink (not owned): activity executions, persisted
-  /// checkpoints, and resumes are counted under "wfms.*".
+  /// checkpoints, resumes and pool hand-offs are counted under "wfms.*".
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -90,6 +96,8 @@ struct InstanceCheckpoint {
   TimeBreakdown attempt_work;
 };
 
+class InstanceRunner;
+
 /// A production-workflow engine (MQSeries Workflow stand-in).
 class Engine {
  public:
@@ -102,8 +110,10 @@ class Engine {
   /// Validates and stores a process template.
   Status RegisterProcess(ProcessDefinition def);
 
-  /// The registered template; NotFound when absent.
-  Result<const ProcessDefinition*> GetProcess(const std::string& name) const;
+  /// The registered template (shared with its instances' audit trails);
+  /// NotFound when absent.
+  Result<std::shared_ptr<const ProcessDefinition>> GetProcess(
+      const std::string& name) const;
 
   /// Names of registered templates (sorted).
   std::vector<std::string> ProcessNames() const;
@@ -115,7 +125,7 @@ class Engine {
   /// the template's input parameters. `invoker` performs program activities
   /// (may be null for processes without program activities). `trace`
   /// (optional) hangs a process span — with one child span per executed
-  /// activity, audit records mirrored as span events — under its parent;
+  /// activity, each audit event also a span event — under its parent;
   /// token times are offset by the handle's base.
   Result<ProcessResult> Run(const std::string& process,
                             const std::vector<Value>& args,
@@ -156,10 +166,34 @@ class Engine {
  private:
   friend class InstanceRunner;
 
+  /// An instance with ready work that no thread took, as of `posted`.
+  struct Offer {
+    std::weak_ptr<InstanceRunner> instance;
+    std::chrono::steady_clock::time_point posted;
+  };
+
+  /// Queues an offer for the watcher: a timestamp and an append under
+  /// offers_mu_, waking the watcher only when it is parked.
+  void PostOffer(std::weak_ptr<InstanceRunner> instance);
+  /// The watcher thread: once per deadline, hands each offer older than the
+  /// deadline to the pool if its instance still has ready work; parks after
+  /// a stretch of ticks without offers.
+  void WatchOffers();
+
   EngineOptions options_;
-  std::map<std::string, ProcessDefinition> processes_;
+  std::map<std::string, std::shared_ptr<const ProcessDefinition>> processes_;
   std::map<std::string, HelperFn> helpers_;
-  std::unique_ptr<ThreadPool> pool_;  ///< runs surplus fork branches
+
+  std::mutex offers_mu_;
+  std::condition_variable offers_cv_;  ///< wakes a parked or stopping watcher
+  std::vector<Offer> offers_;          ///< in posting order
+  bool watcher_parked_ = false;
+  bool stopping_ = false;
+  /// Runs fork branches whose offer overstayed the deadline: the only work
+  /// that leaves a navigating thread. Its workers post offers, so it is
+  /// destroyed (and joined) before the offer list.
+  std::unique_ptr<ThreadPool> pool_;
+  std::thread watcher_;  ///< stopped and joined before pool_ is destroyed
 };
 
 }  // namespace fedflow::wfms

@@ -5,8 +5,10 @@
 // span, and the metrics registry must record the stack's activity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "federation/sample_scenario.h"
@@ -220,6 +222,48 @@ TEST(WfmsTraceTest, AuditOrderingIsDeterministicUnderParallelForks) {
       }
     }
   }
+}
+
+/// One event log: the engine records each navigation event once, so the
+/// events on a traced instance's process and activity spans are exactly its
+/// audit trail — same events, same virtual times, same activities.
+TEST(WfmsTraceTest, SpanEventsAreTheAuditTrail) {
+  auto server = MakeSampleServer(Architecture::kWfms);
+  ASSERT_TRUE(server.ok()) << server.status();
+  obs::Tracer& tracer = (*server)->tracer();
+  tracer.Enable();
+  constexpr VTime kBase = 1000;  // the instance's time 0 on the trace
+  wfms::InstanceCheckpoint ckpt;
+  auto result = (*server)->engine()->RunRecoverable(
+      "BuySuppComp", {Value::Int(1234), Value::Varchar("brakepad")},
+      (*server)->program_invoker(), &ckpt, obs::TraceHandle{&tracer, 0, kBase});
+  ASSERT_TRUE(result.ok()) << result.status();
+
+  using Event = std::tuple<std::string, VTime, std::string>;
+  const std::string kActivity = "activity:";
+  std::vector<Event> on_spans;
+  for (const obs::Span& s : tracer.Snapshot()) {
+    const bool process = s.name.rfind("wf:", 0) == 0;
+    const bool activity = s.name.rfind(kActivity, 0) == 0;
+    if (!process && !activity) continue;
+    for (const obs::SpanEvent& e : s.events) {
+      // Process-span events name their activity (if any) in the detail.
+      std::string name = activity ? s.name.substr(kActivity.size())
+                         : e.name == "activity dead" ? e.detail
+                                                     : "";
+      on_spans.emplace_back(e.name, e.time_us - kBase, std::move(name));
+    }
+  }
+  std::vector<Event> in_audit;
+  int checkpointed = 0;
+  for (const wfms::AuditEntry& e : result->audit.entries()) {
+    in_audit.emplace_back(wfms::AuditEventName(e.event), e.time, e.activity);
+    if (e.event == wfms::AuditEvent::kActivityCheckpointed) ++checkpointed;
+  }
+  EXPECT_EQ(checkpointed, 6);  // GQ, GR, GCN, GG, DP, RESULT
+  std::sort(on_spans.begin(), on_spans.end());
+  std::sort(in_audit.begin(), in_audit.end());
+  EXPECT_EQ(on_spans, in_audit);
 }
 
 /// The metrics registry aggregates the stack's activity: call counts,

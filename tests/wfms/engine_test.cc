@@ -757,6 +757,90 @@ TEST_F(EngineTest, NestedForksFromManyCallersNeverDeadlock) {
   EXPECT_EQ(wrong.load(), 0);
 }
 
+TEST_F(EngineTest, BranchWaitingOnItsSiblingsGetsThemHandedOff) {
+  // A waits until its fork siblings B and C have finished. The navigating
+  // thread takes A first, so B and C run only if the engine hands them to
+  // the pool; a lost offer fails A after its budget instead of hanging.
+  auto one_row = [] {
+    Schema s;
+    s.AddColumn("v", DataType::kInt);
+    Table t(s);
+    t.AppendRowUnchecked({Value::Int(1)});
+    return t;
+  };
+  std::atomic<int> finished{0};
+  invoker_.Define("waits", 10, [&](const std::vector<Value>&) -> Result<Table> {
+    const auto budget =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (finished.load() < 2) {
+      if (std::chrono::steady_clock::now() > budget) {
+        return Status::ExecutionError("the siblings never ran");
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return one_row();
+  });
+  invoker_.Define("quick", 10, [&](const std::vector<Value>&) -> Result<Table> {
+    Table t = one_row();
+    finished.fetch_add(1);
+    return t;
+  });
+  ProcessBuilder b("waits_on_siblings");
+  std::vector<InputSource> branches;
+  for (const char* name : {"A", "B", "C"}) {
+    b.Program(name, "sys", name[0] == 'A' ? "waits" : "quick", {});
+    b.Connect(name, "J");
+    branches.push_back(InputSource::FromActivity(name, ""));
+  }
+  b.Helper("J", "union_all", branches);
+  b.Output("J");
+  auto def = b.Build();
+  ASSERT_TRUE(def.ok()) << def.status();
+  auto result = engine_.RunDefinition(*def, {}, &invoker_);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->output.num_rows(), 3u);
+}
+
+TEST_F(EngineTest, ShortForkStaysOnTheCallingThread) {
+  // A fork of instant programs never waits out the hand-off deadline, so
+  // both branches run on the thread that called Run. Only a host stall past
+  // the deadline may hand a branch to the pool.
+  obs::MetricsRegistry metrics;
+  EngineOptions options;
+  options.metrics = &metrics;
+  Engine engine(options);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> off_thread{0};
+  invoker_.Define("instant", 10, [&](const std::vector<Value>&) {
+    if (std::this_thread::get_id() != caller) off_thread.fetch_add(1);
+    Schema s;
+    s.AddColumn("v", DataType::kInt);
+    Table t(s);
+    t.AppendRowUnchecked({Value::Int(1)});
+    return Result<Table>(std::move(t));
+  });
+  ProcessBuilder b("short_fork");
+  b.Program("P", "sys", "instant", {});
+  b.Program("Q", "sys", "instant", {});
+  b.Helper("J", "union_all",
+           {InputSource::FromActivity("P", ""),
+            InputSource::FromActivity("Q", "")});
+  b.Connect("P", "J");
+  b.Connect("Q", "J");
+  b.Output("J");
+  auto def = b.Build();
+  ASSERT_TRUE(def.ok()) << def.status();
+  constexpr int kRuns = 200;
+  for (int r = 0; r < kRuns; ++r) {
+    auto result = engine.RunDefinition(*def, {}, &invoker_);
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_EQ(result->output.num_rows(), 2u);
+  }
+  const uint64_t handoffs = metrics.counter("wfms.handoffs");
+  EXPECT_LE(handoffs, uint64_t{kRuns / 50});
+  EXPECT_LE(static_cast<uint64_t>(off_thread.load()), handoffs);
+}
+
 // --- Forward recovery -------------------------------------------------------
 
 /// Counts audit entries of `event` in `trail`.
