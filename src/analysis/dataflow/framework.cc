@@ -16,13 +16,6 @@ const char* LoweringName(Lowering lowering) {
   return "?";
 }
 
-bool PlanGraph::IsBackEdge(size_t from, size_t to) const {
-  for (const auto& [f, t] : back_edges) {
-    if (f == from && t == to) return true;
-  }
-  return false;
-}
-
 PlanGraph PlanGraph::Build(const plan::FedPlan& plan) {
   PlanGraph graph;
   graph.plan = &plan;

@@ -50,9 +50,6 @@ struct PlanGraph {
 
   size_t num_nodes() const { return plan == nullptr ? 0 : plan->calls.size(); }
 
-  /// True when (from, to) is a loop back edge.
-  bool IsBackEdge(size_t from, size_t to) const;
-
   /// Extracts the graph of `plan`.
   static PlanGraph Build(const plan::FedPlan& plan);
 };

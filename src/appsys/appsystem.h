@@ -79,14 +79,10 @@ class AppSystem {
   int64_t call_count() const { return call_count_.load(); }
 
   /// Monotonic version of the system's private store. Starts at 0 and bumps
-  /// on every successful call of a mutating local function (and on explicit
-  /// BumpDataVersion). Result-cache keys embed this stamp, so a write
-  /// invalidates every memoized result derived from the old store state.
+  /// on every successful call of a mutating local function. Result-cache
+  /// keys embed this stamp, so a write invalidates every memoized result
+  /// derived from the old store state.
   int64_t data_version() const { return data_version_.load(); }
-
-  /// Advances the data version — the invalidation hook for subclasses whose
-  /// stores change outside the Call() path (e.g. test fixtures).
-  void BumpDataVersion() { data_version_.fetch_add(1); }
 
   /// Per-function Call() counts, keyed by upper-cased function name
   /// (fault-injected and unknown-function calls included). Snapshot; the

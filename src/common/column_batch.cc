@@ -345,22 +345,6 @@ void ColumnData::AppendGathered(const ColumnData& src,
   }
 }
 
-ColumnData ColumnData::FromBools(std::vector<uint8_t> vals,
-                                 std::vector<uint8_t> nulls) {
-  ColumnData col(DataType::kBool);
-  col.bools_ = std::move(vals);
-  col.nulls_ = std::move(nulls);
-  return col;
-}
-
-ColumnData ColumnData::FromInts(std::vector<int32_t> vals,
-                                std::vector<uint8_t> nulls) {
-  ColumnData col(DataType::kInt);
-  col.ints_ = std::move(vals);
-  col.nulls_ = std::move(nulls);
-  return col;
-}
-
 ColumnData ColumnData::FromBigInts(std::vector<int64_t> vals,
                                    std::vector<uint8_t> nulls) {
   ColumnData col(DataType::kBigInt);
@@ -374,22 +358,6 @@ ColumnData ColumnData::FromDoubles(std::vector<double> vals,
   ColumnData col(DataType::kDouble);
   col.doubles_ = std::move(vals);
   col.nulls_ = std::move(nulls);
-  return col;
-}
-
-ColumnData ColumnData::FromStrings(std::vector<std::string> vals,
-                                   std::vector<uint8_t> nulls) {
-  ColumnData col(DataType::kVarchar);
-  col.strings_ = std::move(vals);
-  col.nulls_ = std::move(nulls);
-  return col;
-}
-
-ColumnData ColumnData::FromValues(std::vector<Value> vals) {
-  ColumnData col(DataType::kNull);
-  col.nulls_.reserve(vals.size());
-  for (const Value& v : vals) col.nulls_.push_back(v.is_null() ? 1 : 0);
-  col.generics_ = std::move(vals);
   return col;
 }
 

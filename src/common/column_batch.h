@@ -119,18 +119,10 @@ class ColumnData {
   /// Kernel-output builders: adopt precomputed typed vectors. `nulls` must
   /// be the same length as `vals`; placeholder values at null positions are
   /// ignored.
-  static ColumnData FromBools(std::vector<uint8_t> vals,
-                              std::vector<uint8_t> nulls);
-  static ColumnData FromInts(std::vector<int32_t> vals,
-                             std::vector<uint8_t> nulls);
   static ColumnData FromBigInts(std::vector<int64_t> vals,
                                 std::vector<uint8_t> nulls);
   static ColumnData FromDoubles(std::vector<double> vals,
                                 std::vector<uint8_t> nulls);
-  static ColumnData FromStrings(std::vector<std::string> vals,
-                                std::vector<uint8_t> nulls);
-  /// Generic column adopting `vals` verbatim (declared type kNull).
-  static ColumnData FromValues(std::vector<Value> vals);
 
   /// Casts every value to `target` with Value::CastTo semantics (NULL casts
   /// to NULL; numeric widenings run as typed loops, everything else falls

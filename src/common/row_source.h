@@ -15,7 +15,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -51,15 +50,6 @@ struct PipelineStats {
   size_t rows_emitted = 0;        ///< total rows handed between operators
   size_t columnar_batches = 0;    ///< batches that moved column-wise
 
-  /// Observed selectivity of one vectorized filter: rows seen vs rows kept.
-  /// The feed for adaptive re-optimization (ROADMAP item 4).
-  struct FilterStat {
-    std::string label;    ///< filter expression (SQL text)
-    size_t rows_in = 0;   ///< rows the filter evaluated
-    size_t rows_kept = 0; ///< rows that passed
-  };
-  std::vector<FilterStat> filter_stats;  ///< one entry per distinct filter
-
   void Acquire(size_t n) {
     resident_rows += n;
     peak_resident_rows = std::max(peak_resident_rows, resident_rows);
@@ -76,18 +66,6 @@ struct PipelineStats {
     ++batches_emitted;
     ++columnar_batches;
     rows_emitted += rows;
-  }
-  /// Accumulates selectivity for the filter identified by `label`.
-  void RecordFilter(const std::string& label, size_t rows_in,
-                    size_t rows_kept) {
-    for (FilterStat& f : filter_stats) {
-      if (f.label == label) {
-        f.rows_in += rows_in;
-        f.rows_kept += rows_kept;
-        return;
-      }
-    }
-    filter_stats.push_back(FilterStat{label, rows_in, rows_kept});
   }
 };
 

@@ -115,10 +115,6 @@ Result<TableFunction*> Catalog::GetTableFunction(
   return it->second.get();
 }
 
-bool Catalog::HasTableFunction(const std::string& name) const {
-  return table_functions_.count(Key(name)) > 0;
-}
-
 Status Catalog::RegisterProcedure(StoredProcedure procedure) {
   std::string key = Key(procedure.name);
   if (procedures_.count(key) > 0) {
@@ -145,21 +141,10 @@ Result<const StoredProcedure*> Catalog::GetProcedure(
   return &it->second;
 }
 
-bool Catalog::HasProcedure(const std::string& name) const {
-  return procedures_.count(Key(name)) > 0;
-}
-
 std::vector<std::string> Catalog::TableFunctionNames() const {
   std::vector<std::string> names;
   names.reserve(table_functions_.size());
   for (const auto& [key, fn] : table_functions_) names.push_back(fn->name());
-  return names;
-}
-
-std::vector<std::string> Catalog::TableNames() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [key, t] : tables_) names.push_back(key);
   return names;
 }
 

@@ -70,19 +70,15 @@ class Catalog {
   Status DropTableFunction(const std::string& name);
   /// NotFound when absent.
   Result<TableFunction*> GetTableFunction(const std::string& name) const;
-  bool HasTableFunction(const std::string& name) const;
 
   // --- stored procedures (PSM) ----------------------------------------------
   Status RegisterProcedure(StoredProcedure procedure);
   Status DropProcedure(const std::string& name);
   /// NotFound when absent.
   Result<const StoredProcedure*> GetProcedure(const std::string& name) const;
-  bool HasProcedure(const std::string& name) const;
 
   /// Names of all registered table functions (sorted; for introspection).
   std::vector<std::string> TableFunctionNames() const;
-  /// Names of all base tables (sorted).
-  std::vector<std::string> TableNames() const;
 
  private:
   static std::string Key(const std::string& name);

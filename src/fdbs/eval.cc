@@ -1165,7 +1165,6 @@ std::optional<VectorPredicate> VectorPredicate::Compile(
   VectorPredicate pred;
   pred.root_ = CompileVNode(expr, scope, &pred.nodes_);
   if (pred.root_ < 0) return std::nullopt;
-  pred.label_ = expr.ToSql();
   return pred;
 }
 

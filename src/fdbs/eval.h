@@ -175,9 +175,6 @@ class VectorPredicate {
   Status FilterSelection(const ColumnBatch& batch,
                          std::vector<uint32_t>* sel) const;
 
-  /// The conjunct's SQL text, used to label selectivity statistics.
-  const std::string& label() const { return label_; }
-
   /// One flattened expression node. Public only for the evaluation kernels
   /// in eval.cc; not part of the stable API.
   enum class NodeKind {
@@ -204,7 +201,6 @@ class VectorPredicate {
 
   std::vector<Node> nodes_;
   int root_ = -1;
-  std::string label_;
 };
 
 }  // namespace fedflow::fdbs

@@ -826,18 +826,12 @@ Result<Table> SelectExecutor::ExecuteFromChain(
           preds->push_back(std::move(*p));
         }
         if (all_compiled) {
-          PipelineStats* stats = ctx_->pipeline_stats;
-          SelectionFn select = [preds, stats](
-                                   const ColumnBatch& in,
-                                   std::vector<uint32_t>* sel) -> Status {
+          SelectionFn select = [preds](const ColumnBatch& in,
+                                       std::vector<uint32_t>* sel) -> Status {
             sel->resize(in.num_rows());
             std::iota(sel->begin(), sel->end(), 0);
             for (const VectorPredicate& p : *preds) {
-              const size_t rows_in = sel->size();
               FEDFLOW_RETURN_NOT_OK(p.FilterSelection(in, sel));
-              if (stats != nullptr) {
-                stats->RecordFilter(p.label(), rows_in, sel->size());
-              }
               if (sel->empty()) break;
             }
             return Status::OK();

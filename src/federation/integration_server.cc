@@ -234,9 +234,9 @@ Result<IntegrationServer::TimedResult> IntegrationServer::RunFlow(
   // the flow's statement and are reached through the ExecContext.
   SimClock clock;
   obs::TraceSession session(&tracer_, &clock);
-  // Per-flow pipeline statistics (residency, batch counts, vectorized-filter
-  // selectivities), exported as gauges after the flow. Stack-local so
-  // concurrent flows never share a counter.
+  // Per-flow pipeline statistics (residency and batch counts), exported to
+  // the registry after the flow. Stack-local so concurrent flows never share
+  // a counter.
   PipelineStats pipeline_stats;
   fdbs::ExecContext ctx;
   ctx.clock = &clock;

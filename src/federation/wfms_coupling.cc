@@ -15,41 +15,38 @@ namespace fedflow::federation {
 
 Result<wfms::InvokeResult> WfmsProgramInvoker::Invoke(
     const std::string& system, const std::string& function,
-    const std::vector<Value>& args) {
-  // Local calls bypass RMI under this architecture, so injected faults hit
-  // here: a faulted attempt fails when the activity's program is launched.
-  sim::FaultInjector::Decision decision;
-  if (faults_ != nullptr) decision = faults_->Consult(function);
-  if (decision.fault == sim::FaultInjector::Fault::kTransient) {
-    return Status::Unavailable("wfms: transient failure in program activity " +
-                               function);
-  }
-  if (decision.fault == sim::FaultInjector::Fault::kPermanent) {
-    return Status::Unavailable("wfms: " + function +
-                               " is down (permanent outage)");
-  }
-  FEDFLOW_ASSIGN_OR_RETURN(appsys::AppSystem * sys, systems_->Get(system));
-  FEDFLOW_ASSIGN_OR_RETURN(appsys::AppSystem::CallResult call,
-                           sys->Call(function, args));
-  wfms::InvokeResult result;
-  result.output = std::move(call.table);
-  // The paper's dominant WfMS cost: each activity starts a fresh Java
-  // program (JVM boot) before doing its actual work.
-  result.duration = model_->wf_jvm_boot_activity_us + call.cost_us +
-                    decision.extra_latency_us;
-  result.steps.Add(wfms::steps::kProcessActivities, result.duration);
-  return result;
-}
-
-Result<wfms::InvokeResult> WfmsProgramInvoker::InvokeTraced(
-    const std::string& system, const std::string& function,
     const std::vector<Value>& args, const obs::TraceHandle& trace) {
-  if (!trace.active()) return Invoke(system, function, args);
+  auto call_local = [&]() -> Result<wfms::InvokeResult> {
+    // Local calls bypass RMI under this architecture, so injected faults hit
+    // here: a faulted attempt fails when the activity's program is launched.
+    sim::FaultInjector::Decision decision;
+    if (faults_ != nullptr) decision = faults_->Consult(function);
+    if (decision.fault == sim::FaultInjector::Fault::kTransient) {
+      return Status::Unavailable(
+          "wfms: transient failure in program activity " + function);
+    }
+    if (decision.fault == sim::FaultInjector::Fault::kPermanent) {
+      return Status::Unavailable("wfms: " + function +
+                                 " is down (permanent outage)");
+    }
+    FEDFLOW_ASSIGN_OR_RETURN(appsys::AppSystem * sys, systems_->Get(system));
+    FEDFLOW_ASSIGN_OR_RETURN(appsys::AppSystem::CallResult call,
+                             sys->Call(function, args));
+    wfms::InvokeResult result;
+    result.output = std::move(call.table);
+    // The paper's dominant WfMS cost: each activity starts a fresh Java
+    // program (JVM boot) before doing its actual work.
+    result.duration = model_->wf_jvm_boot_activity_us + call.cost_us +
+                      decision.extra_latency_us;
+    result.steps.Add(wfms::steps::kProcessActivities, result.duration);
+    return result;
+  };
+  if (!trace.active()) return call_local();
   obs::Tracer* tracer = trace.tracer;
   obs::SpanId span = tracer->StartSpan("local:" + function, obs::Layer::kAppsys,
                                        trace.parent, trace.base_us);
   tracer->SetAttribute(span, "system", system);
-  Result<wfms::InvokeResult> result = Invoke(system, function, args);
+  Result<wfms::InvokeResult> result = call_local();
   if (!result.ok()) {
     tracer->SetStatus(span, result.status());
     tracer->AddEvent(span, trace.base_us, "invoke failed",

@@ -38,16 +38,13 @@ class WfmsProgramInvoker : public wfms::ProgramInvoker {
                      sim::FaultInjector* faults = nullptr)
       : systems_(systems), model_(model), faults_(faults) {}
 
+  /// With an active `trace`, hangs a `local:<function>` appsys-layer span
+  /// under the activity span, stamped with the invocation's virtual
+  /// duration; a failed attempt records the failure status on the span.
   Result<wfms::InvokeResult> Invoke(const std::string& system,
                                     const std::string& function,
-                                    const std::vector<Value>& args) override;
-
-  /// Traced variant: hangs a `local:<function>` appsys-layer span under the
-  /// activity span carried by `trace`, stamped with the invocation's virtual
-  /// duration; a failed attempt records the failure status on the span.
-  Result<wfms::InvokeResult> InvokeTraced(
-      const std::string& system, const std::string& function,
-      const std::vector<Value>& args, const obs::TraceHandle& trace) override;
+                                    const std::vector<Value>& args,
+                                    const obs::TraceHandle& trace) override;
 
  private:
   const appsys::AppSystemRegistry* systems_;

@@ -112,14 +112,6 @@ std::map<std::string, int64_t> MetricsRegistry::Gauges() const {
   return gauges_;
 }
 
-std::vector<std::string> MetricsRegistry::HistogramNames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(histograms_.size());
-  for (const auto& [name, hist] : histograms_) names.push_back(name);
-  return names;
-}
-
 std::string MetricsRegistry::ToString() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream os;
@@ -175,11 +167,6 @@ void ExportPipelineStats(const PipelineStats& stats,
   registry->Inc("pipeline.columnar_batches", stats.columnar_batches);
   registry->SetGaugeMax("pipeline.peak_resident_rows",
                         static_cast<int64_t>(stats.peak_resident_rows));
-  for (const PipelineStats::FilterStat& f : stats.filter_stats) {
-    const std::string base = "pipeline.filter." + EscapeMetricSegment(f.label);
-    registry->Inc(base + ".rows_in", f.rows_in);
-    registry->Inc(base + ".rows_kept", f.rows_kept);
-  }
 }
 
 }  // namespace fedflow::obs

@@ -106,9 +106,6 @@ class MetricsRegistry {
   /// All gauges in name order.
   std::map<std::string, int64_t> Gauges() const;
 
-  /// All histogram names in name order.
-  std::vector<std::string> HistogramNames() const;
-
   /// Human-readable dump: counters, gauges, then histogram summaries, each
   /// in name order.
   std::string ToString() const;
@@ -164,11 +161,10 @@ class TenantMetrics {
 };
 
 /// Publishes one pipeline's execution statistics into `registry` (no-op on
-/// null): cumulative counters "pipeline.rows_emitted",
-/// "pipeline.batches_emitted", "pipeline.columnar_batches" and per-filter
-/// selectivities "pipeline.filter.<label>.rows_in" / ".rows_kept" (label
-/// escaped via EscapeMetricSegment) accumulate across calls; the gauge
-/// "pipeline.peak_resident_rows" is a high-water mark across calls.
+/// null): the cumulative counters "pipeline.rows_emitted",
+/// "pipeline.batches_emitted" and "pipeline.columnar_batches" accumulate
+/// across calls; the gauge "pipeline.peak_resident_rows" is a high-water
+/// mark across calls. The set of names is fixed, whatever the SQL.
 void ExportPipelineStats(const PipelineStats& stats,
                          MetricsRegistry* registry);
 

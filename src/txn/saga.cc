@@ -1,6 +1,7 @@
 #include "txn/saga.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/codec.h"
@@ -48,7 +49,7 @@ std::string SagaExec::IdempotencyKey(const SagaStep& step) const {
 
 std::optional<Table> SagaExec::DedupLookup(const SagaStep& step) {
   std::optional<Table> hit =
-      runtime_->LedgerLookup(ToUpper(step.system), IdempotencyKey(step));
+      runtime_->LedgerLookup(saga_id_, ToUpper(step.node));
   if (hit.has_value()) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -117,7 +118,7 @@ Status SagaExec::RecordApplied(const SagaStep& step, const Table& output) {
     applied_.push_back(std::move(applied));
     node_outputs_[ToUpper(step.node)] = output;
   }
-  runtime_->LedgerRecord(ToUpper(step.system), IdempotencyKey(step), output);
+  runtime_->LedgerRecord(saga_id_, ToUpper(step.node), output);
   runtime_->Append(saga_id_, SagaLogRecord::Kind::kApply, step.node);
   if (runtime_->metrics_ != nullptr) runtime_->metrics_->Inc("saga.apply");
   return Status::OK();
@@ -234,12 +235,7 @@ void SagaRuntime::Commit(SagaExec& exec) {
   outcome.aborted = false;
   outcome.steps_applied = exec.steps_applied();
   outcome.dedup_hits = exec.dedup_hits();
-  LedgerDropSaga(exec.saga_id());
-  Append(exec.saga_id(), SagaLogRecord::Kind::kCommit, "");
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    outcomes_[ToUpper(outcome.function)] = outcome;
-  }
+  Finish(SagaLogRecord::Kind::kCommit, outcome);
   {
     std::lock_guard<std::mutex> lock(exec.mu_);
     exec.finished_ = true;
@@ -294,12 +290,7 @@ SagaOutcome SagaRuntime::Abort(SagaExec& exec, VDuration failed_elapsed_us,
                              model_.txn_compensation_us;
   }
 
-  LedgerDropSaga(exec.saga_id());
-  Append(exec.saga_id(), SagaLogRecord::Kind::kAbort, "");
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    outcomes_[ToUpper(outcome.function)] = outcome;
-  }
+  Finish(SagaLogRecord::Kind::kAbort, outcome);
   if (metrics_ != nullptr) metrics_->Inc("saga.abort");
   return outcome;
 }
@@ -320,7 +311,7 @@ std::vector<SagaLogRecord> SagaRuntime::LogSnapshot() const {
 int64_t SagaRuntime::ledger_size() const {
   std::lock_guard<std::mutex> lock(mu_);
   int64_t n = 0;
-  for (const auto& [store, entries] : ledger_) {
+  for (const auto& [saga_id, entries] : ledger_) {
     n += static_cast<int64_t>(entries.size());
   }
   return n;
@@ -332,34 +323,35 @@ void SagaRuntime::Append(int64_t saga_id, SagaLogRecord::Kind kind,
   log_.push_back(SagaLogRecord{next_log_seq_++, saga_id, kind, ToUpper(node)});
 }
 
-std::optional<Table> SagaRuntime::LedgerLookup(const std::string& store,
-                                               const std::string& key) {
+std::optional<Table> SagaRuntime::LedgerLookup(int64_t saga_id,
+                                               const std::string& node) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto sit = ledger_.find(store);
+  auto sit = ledger_.find(saga_id);
   if (sit == ledger_.end()) return std::nullopt;
-  auto kit = sit->second.find(key);
-  if (kit == sit->second.end()) return std::nullopt;
-  return kit->second;
+  auto nit = sit->second.find(node);
+  if (nit == sit->second.end()) return std::nullopt;
+  return nit->second;
 }
 
-void SagaRuntime::LedgerRecord(const std::string& store, const std::string& key,
+void SagaRuntime::LedgerRecord(int64_t saga_id, const std::string& node,
                                const Table& ack) {
   std::lock_guard<std::mutex> lock(mu_);
-  ledger_[store][key] = ack;
+  ledger_[saga_id][node] = ack;
 }
 
-void SagaRuntime::LedgerDropSaga(int64_t saga_id) {
-  const std::string prefix = "S" + std::to_string(saga_id) + "#";
+void SagaRuntime::Finish(SagaLogRecord::Kind kind, SagaOutcome& outcome) {
+  const int64_t id = outcome.saga_id;
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [store, entries] : ledger_) {
-    for (auto it = entries.begin(); it != entries.end();) {
-      if (StartsWith(it->first, prefix)) {
-        it = entries.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+  log_.push_back(SagaLogRecord{next_log_seq_++, id, kind, ""});
+  ledger_.erase(id);
+  // Stable: the finished saga's records and those in flight keep their order.
+  auto done = std::stable_partition(
+      log_.begin(), log_.end(),
+      [id](const SagaLogRecord& r) { return r.saga_id != id; });
+  outcome.log.assign(std::make_move_iterator(done),
+                     std::make_move_iterator(log_.end()));
+  log_.erase(done, log_.end());
+  outcomes_[ToUpper(outcome.function)] = outcome;
 }
 
 }  // namespace fedflow::txn

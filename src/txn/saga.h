@@ -16,6 +16,9 @@
 //     COMPENSATE / COMMIT / ABORT records survive the failed flow, mirroring
 //     what the paper credits the WfMS with keeping on persistent storage.
 //     Forward recovery itself rides the WfMS engine's InstanceCheckpoint.
+//     The log holds sagas in flight only: commit or abort moves a saga's
+//     records into its SagaOutcome and drops its ledger entries, so the
+//     coordinator's state does not grow with the number of finished sagas.
 //   * Backward recovery: when a step exhausts its retry budget or deadline,
 //     the coordinator runs the applied steps' compensations in reverse apply
 //     order. Compensations are themselves mutating local calls, so each one
@@ -92,6 +95,9 @@ struct SagaOutcome {
   /// coordinator overhead.
   VDuration abort_cost_us = 0;
   std::string error;  ///< the status message that triggered the abort
+  /// The saga's log records, BEGIN through COMMIT or ABORT, in durability
+  /// order; moved out of the runtime's log when the saga finished.
+  std::vector<SagaLogRecord> log;
 };
 
 class SagaRuntime;
@@ -165,8 +171,8 @@ class SagaExec {
 };
 
 /// The saga coordinator of one integration server: registered saga specs,
-/// the per-store dedup ledger, the durable (virtual-time) saga log, and the
-/// backward-recovery path. Thread-safe.
+/// the dedup ledger and the durable (virtual-time) saga log of the sagas in
+/// flight, and the backward-recovery path. Thread-safe.
 class SagaRuntime {
  public:
   /// Wires the deployment. `systems` must outlive the runtime; `metrics`
@@ -189,23 +195,26 @@ class SagaRuntime {
   std::unique_ptr<SagaExec> Begin(const SagaSpecInfo& info,
                                   const std::vector<Value>& args);
 
-  /// Commits: drops the saga's ledger entries, writes COMMIT, records the
-  /// outcome.
+  /// Commits: writes COMMIT, drops the saga's ledger entries, and records
+  /// the outcome with the saga's log records moved into it.
   void Commit(SagaExec& exec);
 
   /// Backward recovery: runs the applied steps' compensations in reverse
-  /// apply order (each a mutating local call, so data versions bump), drops
-  /// the saga's ledger entries, writes ABORT, and returns the outcome.
+  /// apply order (each a mutating local call, so data versions bump), writes
+  /// ABORT, drops the saga's ledger entries, and returns the outcome with
+  /// the saga's log records moved into it.
   SagaOutcome Abort(SagaExec& exec, VDuration failed_elapsed_us,
                     const Status& error);
 
   /// Last finished outcome of federated function `name` (case-insensitive).
   std::optional<SagaOutcome> LastOutcome(const std::string& name) const;
 
-  /// Snapshot of the saga log, in durability order.
+  /// Snapshot of the log records of the sagas in flight, in durability
+  /// order. A finished saga's records are in its SagaOutcome::log.
   std::vector<SagaLogRecord> LogSnapshot() const;
 
-  /// Entries currently resident in the dedup ledger (all stores).
+  /// Acknowledgements resident in the dedup ledger: those of the sagas in
+  /// flight.
   int64_t ledger_size() const;
 
   const sim::LatencyModel& model() const { return model_; }
@@ -215,11 +224,11 @@ class SagaRuntime {
 
   void Append(int64_t saga_id, SagaLogRecord::Kind kind,
               const std::string& node);
-  std::optional<Table> LedgerLookup(const std::string& store,
-                                    const std::string& key);
-  void LedgerRecord(const std::string& store, const std::string& key,
-                    const Table& ack);
-  void LedgerDropSaga(int64_t saga_id);
+  std::optional<Table> LedgerLookup(int64_t saga_id, const std::string& node);
+  void LedgerRecord(int64_t saga_id, const std::string& node, const Table& ack);
+  /// Writes the saga's final record, drops its ledger entries, moves its log
+  /// records into `outcome`, and records `outcome` as the function's last.
+  void Finish(SagaLogRecord::Kind kind, SagaOutcome& outcome);
 
   const appsys::AppSystemRegistry* systems_ = nullptr;
   sim::LatencyModel model_;
@@ -227,8 +236,10 @@ class SagaRuntime {
 
   mutable std::mutex mu_;
   std::map<std::string, SagaSpecInfo> specs_;  ///< upper fed name -> info
-  std::map<std::string, std::map<std::string, Table>> ledger_;  ///< per store
-  std::vector<SagaLogRecord> log_;
+  /// Saga id -> upper node id -> acknowledgement: the step the wire key
+  /// "S<id>#NODE" names (a node is unique within a spec).
+  std::map<int64_t, std::map<std::string, Table>> ledger_;
+  std::vector<SagaLogRecord> log_;  ///< records of the sagas in flight
   std::map<std::string, SagaOutcome> outcomes_;  ///< upper fed name -> last
   int64_t next_saga_id_ = 1;
   int64_t next_log_seq_ = 1;

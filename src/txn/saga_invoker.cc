@@ -50,26 +50,13 @@ Result<wfms::InvokeResult> SagaInvoker::InvokeWrite(
   return result;
 }
 
-Result<wfms::InvokeResult> SagaInvoker::Invoke(const std::string& system,
-                                               const std::string& function,
-                                               const std::vector<Value>& args) {
-  const SagaStep* step = exec_->WriteStepFor(system, function);
-  if (step != nullptr) return InvokeWrite(*step, system, function, args);
-  Result<wfms::InvokeResult> result = inner_->Invoke(system, function, args);
-  if (result.ok()) {
-    const std::string node = exec_->CaptureNodeFor(system, function);
-    if (!node.empty()) exec_->RecordOutput(node, result->output);
-  }
-  return result;
-}
-
-Result<wfms::InvokeResult> SagaInvoker::InvokeTraced(
+Result<wfms::InvokeResult> SagaInvoker::Invoke(
     const std::string& system, const std::string& function,
     const std::vector<Value>& args, const obs::TraceHandle& trace) {
   const SagaStep* step = exec_->WriteStepFor(system, function);
   if (step == nullptr) {
     Result<wfms::InvokeResult> result =
-        inner_->InvokeTraced(system, function, args, trace);
+        inner_->Invoke(system, function, args, trace);
     if (result.ok()) {
       const std::string node = exec_->CaptureNodeFor(system, function);
       if (!node.empty()) exec_->RecordOutput(node, result->output);

@@ -42,11 +42,8 @@ class SagaInvoker : public wfms::ProgramInvoker {
 
   Result<wfms::InvokeResult> Invoke(const std::string& system,
                                     const std::string& function,
-                                    const std::vector<Value>& args) override;
-
-  Result<wfms::InvokeResult> InvokeTraced(
-      const std::string& system, const std::string& function,
-      const std::vector<Value>& args, const obs::TraceHandle& trace) override;
+                                    const std::vector<Value>& args,
+                                    const obs::TraceHandle& trace) override;
 
  private:
   Result<wfms::InvokeResult> InvokeWrite(const SagaStep& step,

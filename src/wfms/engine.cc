@@ -593,7 +593,7 @@ Result<InvokeResult> InstanceRunner::DoProgram(const ActivityDef& a,
     return Status::InvalidArgument(
         "process contains program activities but no invoker was supplied");
   }
-  return invoker_->InvokeTraced(
+  return invoker_->Invoke(
       a.system, a.function, args,
       obs::TraceHandle{trace_.tracer, span, TraceTime(start)});
 }
@@ -793,13 +793,6 @@ Result<std::shared_ptr<const ProcessDefinition>> Engine::GetProcess(
     return Status::NotFound("process not registered: " + name);
   }
   return it->second;
-}
-
-std::vector<std::string> Engine::ProcessNames() const {
-  std::vector<std::string> names;
-  names.reserve(processes_.size());
-  for (const auto& [key, def] : processes_) names.push_back(def->name);
-  return names;
 }
 
 Status Engine::RegisterHelper(const std::string& name, HelperFn fn) {

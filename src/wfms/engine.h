@@ -115,9 +115,6 @@ class Engine {
   Result<std::shared_ptr<const ProcessDefinition>> GetProcess(
       const std::string& name) const;
 
-  /// Names of registered templates (sorted).
-  std::vector<std::string> ProcessNames() const;
-
   /// Registers a helper function under `name`.
   Status RegisterHelper(const std::string& name, HelperFn fn);
 

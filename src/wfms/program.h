@@ -29,23 +29,14 @@ class ProgramInvoker {
  public:
   virtual ~ProgramInvoker() = default;
 
-  /// Calls `function` of `system` with scalar `args`.
+  /// Calls `function` of `system` with scalar `args`. `trace` carries the
+  /// program activity's span as parent (and the virtual-time base of the
+  /// invocation), so an implementation can hang local-function spans under
+  /// the right activity; an inactive handle records nothing.
   virtual Result<InvokeResult> Invoke(const std::string& system,
                                       const std::string& function,
-                                      const std::vector<Value>& args) = 0;
-
-  /// Traced variant the engine calls for program activities: `trace` carries
-  /// the activity span as parent (and the virtual-time base of the
-  /// invocation) so invoker implementations can hang local-function spans
-  /// under the right activity. The default ignores the handle and delegates
-  /// to Invoke — existing invokers keep working unchanged.
-  virtual Result<InvokeResult> InvokeTraced(const std::string& system,
-                                            const std::string& function,
-                                            const std::vector<Value>& args,
-                                            const obs::TraceHandle& trace) {
-    (void)trace;
-    return Invoke(system, function, args);
-  }
+                                      const std::vector<Value>& args,
+                                      const obs::TraceHandle& trace) = 0;
 };
 
 }  // namespace fedflow::wfms

@@ -3,13 +3,15 @@
 // fault sweep drives a lost acknowledgement into every write boundary of
 // every architecture (retry => dedup replay, no retry => abort + reverse
 // compensation restoring the pre-saga state), the FF45x gates reject broken
-// write specs, write calls never ride the result cache, and a ThreadPool
-// smoke run exercises the coordinator's locking for the TSan job.
+// write specs, write calls never ride the result cache, the coordinator keeps
+// state only for sagas in flight, and a ThreadPool smoke run exercises its
+// locking for the TSan job.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/dataflow/saga_analysis.h"
@@ -20,6 +22,7 @@
 #include "federation/sample_scenario.h"
 #include "plan/fed_plan.h"
 #include "plan/optimizer.h"
+#include "txn/saga.h"
 
 namespace fedflow::federation {
 namespace {
@@ -160,9 +163,11 @@ TEST(SagaTest, CommitAppliesEveryWriteExactlyOnce) {
     EXPECT_EQ(outcome->steps_applied, 2);
     EXPECT_EQ(outcome->dedup_hits, 0);
     EXPECT_EQ(outcome->compensations_run, 0);
-    // Commit dropped the saga's ledger entries; the log tells the story.
+    // Commit dropped the saga's ledger entries and moved its log records
+    // into the outcome, which tells the story.
     EXPECT_EQ(server->saga_runtime().ledger_size(), 0);
-    std::vector<txn::SagaLogRecord> log = server->saga_runtime().LogSnapshot();
+    EXPECT_TRUE(server->saga_runtime().LogSnapshot().empty());
+    const std::vector<txn::SagaLogRecord>& log = outcome->log;
     ASSERT_GE(log.size(), 4u);
     EXPECT_EQ(log.front().kind, txn::SagaLogRecord::Kind::kBegin);
     EXPECT_EQ(log.back().kind, txn::SagaLogRecord::Kind::kCommit);
@@ -174,6 +179,92 @@ TEST(SagaTest, CommitAppliesEveryWriteExactlyOnce) {
     EXPECT_EQ(stock->reserved(1234, 17), 10);
     EXPECT_EQ(purchasing->open_order_count(), 2);
   }
+}
+
+TEST(SagaTest, LogAndLedgerHoldOnlySagasInFlight) {
+  // Two sagas in flight on a bare coordinator, finished one at a time: the
+  // log and the ledger keep only what the sagas still in flight need, and a
+  // finished saga's records move into its outcome.
+  using Kind = txn::SagaLogRecord::Kind;
+  txn::SagaRuntime runtime;
+  ASSERT_TRUE(runtime.Register(ProcureComponentSpec(), {0, 1, 2}).ok());
+  const txn::SagaSpecInfo* info = runtime.Find("ProcureComponent");
+  ASSERT_NE(info, nullptr);
+  const txn::SagaStep& rs = info->writes[0];
+  ASSERT_EQ(rs.node, "RS");
+  std::unique_ptr<txn::SagaExec> a = runtime.Begin(*info, ProcureArgs());
+  std::unique_ptr<txn::SagaExec> b = runtime.Begin(*info, ProcureArgs());
+
+  Schema gsn_schema;
+  gsn_schema.AddColumn("SupplierNo", DataType::kInt);
+  Table gsn(gsn_schema);
+  gsn.AppendRowUnchecked({Value::Int(1234)});
+  a->RecordOutput("GSN", gsn);
+  Schema ack_schema;
+  ack_schema.AddColumn("Reserved", DataType::kInt);
+  Table ack(ack_schema);
+  ack.AppendRowUnchecked({Value::Int(5)});
+  ASSERT_TRUE(a->RecordApplied(rs, ack).ok());
+  EXPECT_TRUE(a->DedupLookup(rs).has_value());
+  EXPECT_FALSE(b->DedupLookup(rs).has_value());
+
+  std::vector<txn::SagaLogRecord> log = runtime.LogSnapshot();
+  ASSERT_EQ(log.size(), 4u);
+  const std::vector<std::pair<Kind, int64_t>> want = {
+      {Kind::kBegin, a->saga_id()},
+      {Kind::kBegin, b->saga_id()},
+      {Kind::kApply, a->saga_id()},
+      {Kind::kDedup, a->saga_id()}};
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(log[i].kind, want[i].first) << i;
+    EXPECT_EQ(log[i].saga_id, want[i].second) << i;
+    if (i > 0) {
+      EXPECT_LT(log[i - 1].seq, log[i].seq) << i;
+    }
+  }
+  EXPECT_EQ(runtime.ledger_size(), 1);
+
+  runtime.Commit(*a);
+  log = runtime.LogSnapshot();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].kind, Kind::kBegin);
+  EXPECT_EQ(log[0].saga_id, b->saga_id());
+  EXPECT_EQ(runtime.ledger_size(), 0);
+  auto outcome = runtime.LastOutcome("ProcureComponent");
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->saga_id, a->saga_id());
+  ASSERT_EQ(outcome->log.size(), 4u);
+  EXPECT_EQ(outcome->log.front().kind, Kind::kBegin);
+  EXPECT_EQ(outcome->log.back().kind, Kind::kCommit);
+
+  runtime.Commit(*b);
+  EXPECT_TRUE(runtime.LogSnapshot().empty());
+  outcome = runtime.LastOutcome("ProcureComponent");
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->saga_id, b->saga_id());
+  EXPECT_EQ(outcome->log.size(), 2u);
+}
+
+TEST(SagaTest, ThousandsOfSagasLeaveNoRecordBehind) {
+  // A long run of committed and aborted sagas: nothing of a finished saga
+  // may stay resident in the coordinator's log or ledger.
+  auto server = MakeSagaServer(Architecture::kWfms);
+  ASSERT_NE(server, nullptr);
+  int committed = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const bool lose_ack = i % 10 == 9;
+    if (lose_ack) {
+      server->fault_injector().InjectTransientFailures("PlaceOrder", 1);
+    }
+    auto result = server->CallFederated("ProcureComponent", ProcureArgs());
+    ASSERT_EQ(result.ok(), !lose_ack) << "call " << i;
+    if (result.ok()) ++committed;
+  }
+  EXPECT_EQ(committed, 1800);
+  EXPECT_EQ(Stock(server.get())->reserved(1234, 17), 1800 * 5);
+  EXPECT_EQ(Purchasing(server.get())->open_order_count(), 1800);
+  EXPECT_TRUE(server->saga_runtime().LogSnapshot().empty());
+  EXPECT_EQ(server->saga_runtime().ledger_size(), 0);
 }
 
 TEST(SagaFaultSweepTest, LostAcknowledgementIsDeduplicatedNotReapplied) {
@@ -261,11 +352,11 @@ TEST(SagaFaultSweepTest, ExhaustedBudgetAbortsAndCompensatesInReverse) {
       EXPECT_GT(outcome->abort_cost_us, 0);
       EXPECT_FALSE(outcome->error.empty());
       EXPECT_EQ(server->saga_runtime().ledger_size(), 0);
+      EXPECT_TRUE(server->saga_runtime().LogSnapshot().empty());
 
       // Compensations ran in reverse apply order: PO undone before RS.
       std::vector<std::string> undone;
-      for (const txn::SagaLogRecord& rec :
-           server->saga_runtime().LogSnapshot()) {
+      for (const txn::SagaLogRecord& rec : outcome->log) {
         if (rec.kind == txn::SagaLogRecord::Kind::kCompensate) {
           undone.push_back(rec.node);
         }
@@ -519,6 +610,7 @@ TEST(SagaTest, ConcurrentSagasCommitExactlyOncePerFlow) {
   EXPECT_EQ(CallCount(Stock(server.get()), "ReserveStock"), 8);
   EXPECT_EQ(CallCount(Purchasing(server.get()), "PlaceOrder"), 8);
   EXPECT_EQ(server->saga_runtime().ledger_size(), 0);
+  EXPECT_TRUE(server->saga_runtime().LogSnapshot().empty());
 }
 
 }  // namespace

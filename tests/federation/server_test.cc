@@ -40,6 +40,24 @@ TEST(ServerTest, QueryTimedOnPlainSqlChargesNothing) {
   EXPECT_EQ(timed->elapsed_us, 0);
 }
 
+TEST(ServerTest, DistinctAdHocFiltersAddNoMetricName) {
+  // Metric names are a fixed set: a vectorized filter's SQL text must not
+  // become one, or every distinct ad-hoc query grows the registry.
+  auto server = MakeSampleServer(Architecture::kUdtf);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Query("CREATE TABLE t (x INT)").ok());
+  ASSERT_TRUE((*server)->Query("INSERT INTO t VALUES (1), (2), (3)").ok());
+  ASSERT_TRUE((*server)->QueryTimed("SELECT x FROM t WHERE x > 0").ok());
+  const obs::MetricsRegistry& metrics = (*server)->metrics();
+  const size_t names = metrics.Counters().size() + metrics.Gauges().size();
+  for (int i = 0; i < 5000; ++i) {
+    auto r = (*server)->QueryTimed("SELECT x FROM t WHERE x > " +
+                                   std::to_string(i));
+    ASSERT_TRUE(r.ok()) << r.status();
+  }
+  EXPECT_EQ(metrics.Counters().size() + metrics.Gauges().size(), names);
+}
+
 std::string Repeat(const std::string& s, int n) {
   std::string out;
   for (int i = 0; i < n; ++i) out += s;

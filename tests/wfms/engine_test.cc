@@ -39,7 +39,8 @@ class FakeInvoker : public ProgramInvoker {
 
   Result<InvokeResult> Invoke(const std::string& system,
                               const std::string& function,
-                              const std::vector<Value>& args) override {
+                              const std::vector<Value>& args,
+                              const obs::TraceHandle& /*trace*/) override {
     {
       std::lock_guard<std::mutex> lock(mu_);
       calls_.emplace_back(system, function);
